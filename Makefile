@@ -3,7 +3,7 @@ export PYTHONPATH
 
 .PHONY: check test bench bench-check bench-scale bench-nocdn bench-obs \
 	experiments trace-smoke obs-smoke chaos control-smoke nocdn-smoke \
-	dashboard study study-smoke
+	dashboard study study-smoke bench-platform
 
 check:
 	./scripts/check.sh
@@ -65,6 +65,13 @@ nocdn-smoke:
 # byte-identical exports, every error/fault trace retained).
 bench-obs:
 	python scripts/bench_obs.py
+
+# The platform benchmark BENCHMARK.json declares: host time per
+# simulated operation on seven workloads, each in its own process
+# (about two minutes). benchmarks/platform/README.md names every metric
+# and states the rule a performance claim has to follow.
+bench-platform:
+	python3 benchmarks/platform/run.py
 
 experiments:
 	python -m repro.experiments all

@@ -53,4 +53,8 @@ echo "== study smoke: worker-count byte identity + resume =="
 python scripts/study_smoke.py
 
 echo
+echo "== platform benchmark harness: self-tests (not collected by tier-1) =="
+python -m pytest benchmarks/platform/tests -q
+
+echo
 echo "all checks passed"

@@ -9,8 +9,10 @@
 3. Times a dense event spin on a simulator that never had the profiler
    against one where profiling was enabled and then disabled, and
    fails if the disabled path costs more than 5% — enabling the
-   profiler must be free once it is off again, and the engine's
-   per-step profiler check must stay in the noise.
+   profiler must be free once it is off again. Detaching it puts the
+   engine back on its uninstrumented dispatcher (a unit test asserts
+   that), so the two loops are the same code and this is an end-to-end
+   check that nothing else lingers.
 4. Runs a 10k-home fleet (analytic background aggregation, scraped
    TSDB) twice from the same seed and asserts the exports are
    byte-identical — the determinism contract at fleet scale, covering

@@ -2,7 +2,7 @@
 
 The tracer answers "where did simulated time go"; this module answers
 "why is the simulator slow on my machine". A :class:`LoopProfiler`
-hooks :meth:`repro.sim.engine.Simulator.step` (via
+hooks the engine's event loop (via
 ``Simulator.enable_profiling``) and attributes the wall-clock cost of
 every fired event to its label and callback, tracks the wall-vs-sim
 time ratio (how many host seconds one simulated second costs), and

@@ -16,10 +16,13 @@ Design notes
 - Cancellation is O(1): a cancelled event stays in the heap but is
   skipped when popped (a lazy-delete heap). Live-event counts are
   maintained incrementally, so :attr:`pending_events` is O(1) too.
-- :meth:`run` and :meth:`run_until` deliver events in batches: when no
-  tracer, profiler, or trace hook is attached they drain the heap in a
-  tight loop without the per-event :meth:`step` dispatch. Instrumented
-  runs take the exact same per-event path as before.
+- There is one event loop, :meth:`Simulator._drain`; :meth:`step`,
+  :meth:`run` and :meth:`run_until` only choose its stop rule. What
+  happens *around* a callback is one slot, chosen when a tracer or
+  profiler is attached or detached rather than per event: ``None``
+  (the loop calls the callback inline) or one dispatcher. The
+  loop re-reads the slot for every event, so a switch made from inside
+  a callback applies from the next event on.
 - The simulator also owns the :class:`~repro.util.ids.IdFactory` and
   :class:`~repro.util.rng.RngStreams` so that an entire simulation is
   reproducible from a single root seed.
@@ -28,6 +31,8 @@ Design notes
 from __future__ import annotations
 
 import heapq
+from functools import partial
+from math import inf
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -124,18 +129,16 @@ class Simulator:
         self._events_fired = 0
         self._pending = 0
         self._strong_pending = 0
-        self._trace_hooks: List[Callable[[Event], None]] = []
         # Disabled by default: the shared null tracer makes every
         # instrumentation site a cheap no-op. See enable_tracing().
         self.tracer = NULL_TRACER
-        # Disabled by default: the event-loop profiler costs one `is
-        # not None` check per step when off. See enable_profiling().
+        # Disabled by default, and free while off: a detached profiler
+        # leaves no check in the loop. See enable_profiling().
         self.profiler: Optional["object"] = None
-        # True while no tracer/profiler/hook is attached: the batched
-        # run loops take the uninstrumented fast path. Kept as a plain
-        # attribute (one load per event) and recomputed by the
-        # enable_*/disable_*/add_trace_hook methods.
-        self._plain = True
+        # What the loop does around each callback: None (call it
+        # inline) while neither a tracer nor a profiler is attached.
+        # Re-selected by the enable_*/disable_* methods.
+        self._dispatch: Optional[Callable[[Event], None]] = None
 
     # -- scheduling ----------------------------------------------------
 
@@ -174,60 +177,103 @@ class Simulator:
 
     # -- execution -----------------------------------------------------
 
-    def _recompute_plain(self) -> None:
-        self._plain = (self.profiler is None and not self.tracer.enabled
-                       and not self._trace_hooks)
+    def _select_dispatch(self) -> None:
+        """Choose the dispatcher for the instruments now attached."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            dispatch = None
+        elif tracer.lite:
+            dispatch = self._dispatch_lite
+        else:
+            dispatch = self._dispatch_full
+        if self.profiler is not None:
+            dispatch = partial(self._dispatch_profiled, dispatch)
+        self._dispatch = dispatch
 
-    def step(self) -> bool:
-        """Fire the next pending event. Returns False if none remain."""
+    def _dispatch_lite(self, event: Event) -> None:
+        # No event marks, no wall profile: context propagation is just
+        # swapping `current` around the callback. Most fleet events
+        # carry no trace context at all, and `current` is always None
+        # between events, so those need no store either.
+        tracer = self.tracer
+        tracer.events_traced += 1
+        ctx = event.ctx
+        if ctx is None:
+            event.callback()
+        else:
+            tracer.current = ctx
+            try:
+                event.callback()
+            finally:
+                tracer.current = None
+
+    def _dispatch_full(self, event: Event) -> None:
+        tracer = self.tracer
+        tracer.begin_event(event)
+        try:
+            event.callback()
+        finally:
+            tracer.end_event(event)
+
+    def _dispatch_profiled(self, traced: Optional[Callable[[Event], None]],
+                           event: Event) -> None:
+        # The profiler times whatever the tracer does around the
+        # callback as well, so its wall covers the traced cost.
+        profiler = self.profiler
+        t0 = perf_counter()
+        if traced is None:
+            event.callback()
+        else:
+            traced(event)
+        profiler.record(event, perf_counter() - t0)
+
+    def _drain(self, until: float, budget: int, strong_only: bool,
+               runaway: bool) -> int:
+        """The event loop: fire due events in ``(time, seq)`` order.
+
+        An event is due while its time is <= ``until`` and, with
+        ``strong_only``, while any strong event is still pending.
+        ``budget`` caps the events fired: with another event still due
+        once it is spent, the loop raises when ``runaway`` is set and
+        returns otherwise. Returns the number of events fired.
+        """
+        fired = 0
         heap = self._heap
-        while heap:
-            _time, _seq, event = heapq.heappop(heap)
+        heappop = heapq.heappop
+        while heap and not (strong_only and self._strong_pending <= 0):
+            head_time, _seq, event = heap[0]
             if event._state != _PENDING:
+                heappop(heap)
                 continue
-            self.now = event.time
+            if head_time > until:
+                break
+            if fired >= budget:
+                if runaway:
+                    raise SimulationError(
+                        f"exceeded max_events={budget}; likely a "
+                        f"scheduling loop")
+                break
+            heappop(heap)
+            self.now = head_time
             event._state = _FIRED
             self._pending -= 1
             if not event.weak:
                 self._strong_pending -= 1
                 assert self._strong_pending >= 0, (
                     "strong-event accounting went negative on fire")
-            for hook in self._trace_hooks:
-                hook(event)
-            tracer = self.tracer
-            profiler = self.profiler
-            if profiler is not None:
-                t0 = perf_counter()
-            if tracer.enabled:
-                if tracer.lite:
-                    # No event marks, no wall profile: context
-                    # propagation is just swapping `current` around
-                    # the callback. Most fleet events carry no trace
-                    # context at all, and `current` is always None
-                    # between events, so those need no store either.
-                    tracer.events_traced += 1
-                    ctx = event.ctx
-                    if ctx is None:
-                        event.callback()
-                    else:
-                        tracer.current = ctx
-                        try:
-                            event.callback()
-                        finally:
-                            tracer.current = None
-                else:
-                    tracer.begin_event(event)
-                    try:
-                        event.callback()
-                    finally:
-                        tracer.end_event(event)
-            else:
+            dispatch = self._dispatch
+            if dispatch is None:
                 event.callback()
-            if profiler is not None:
-                profiler.record(event, perf_counter() - t0)
+            else:
+                dispatch(event)
             self._events_fired += 1
-            return True
-        return False
+            fired += 1
+        return fired
+
+    def step(self) -> bool:
+        """Fire the next pending event. Returns False if none remain."""
+        return self._drain(inf, 1, strong_only=False,
+                           runaway=False) == 1
 
     def run(self, max_events: int = 10_000_000) -> int:
         """Run until quiescence: no *strong* events remain.
@@ -235,121 +281,20 @@ class Simulator:
         Weak (daemon) events left in the heap do not fire; they resume
         participating when new strong work is scheduled and run again.
         ``max_events`` is a runaway-loop backstop, not a normal control —
-        hitting it raises so a bug cannot masquerade as completion.
+        needing one event more than it allows raises, so a bug cannot
+        masquerade as completion.
         """
-        fired = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        while self._strong_pending > 0 and heap:
-            if not self._plain:
-                tracer = self.tracer
-                if (tracer.enabled and tracer.lite
-                        and self.profiler is None
-                        and not self._trace_hooks):
-                    # Batched lite-tracing path: same inlining as the
-                    # plain loop below, plus context propagation.
-                    _time, _seq, event = heappop(heap)
-                    if event._state != _PENDING:
-                        continue
-                    self.now = event.time
-                    event._state = _FIRED
-                    self._pending -= 1
-                    if not event.weak:
-                        self._strong_pending -= 1
-                    tracer.events_traced += 1
-                    ctx = event.ctx
-                    if ctx is None:
-                        event.callback()
-                    else:
-                        tracer.current = ctx
-                        try:
-                            event.callback()
-                        finally:
-                            tracer.current = None
-                    self._events_fired += 1
-                elif not self.step():
-                    break
-            else:
-                # Batched fast path: identical semantics to step(),
-                # inlined to avoid per-event dispatch overhead.
-                _time, _seq, event = heappop(heap)
-                if event._state != _PENDING:
-                    continue
-                self.now = event.time
-                event._state = _FIRED
-                self._pending -= 1
-                if not event.weak:
-                    self._strong_pending -= 1
-                event.callback()
-                self._events_fired += 1
-            fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
-                )
-        return fired
+        return self._drain(inf, max_events, strong_only=True,
+                           runaway=True)
 
     def run_until(self, time: float, max_events: int = 10_000_000) -> int:
         """Run events with timestamps <= ``time``; advances clock to ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot run backwards to {time} from {self.now}")
-        fired = 0
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            head_time, _seq, event = heap[0]
-            if event._state != _PENDING:
-                heappop(heap)
-                continue
-            if head_time > time:
-                break
-            if not self._plain:
-                tracer = self.tracer
-                if (tracer.enabled and tracer.lite
-                        and self.profiler is None
-                        and not self._trace_hooks):
-                    # Batched lite-tracing path (see run()).
-                    heappop(heap)
-                    self.now = event.time
-                    event._state = _FIRED
-                    self._pending -= 1
-                    if not event.weak:
-                        self._strong_pending -= 1
-                    tracer.events_traced += 1
-                    ctx = event.ctx
-                    if ctx is None:
-                        event.callback()
-                    else:
-                        tracer.current = ctx
-                        try:
-                            event.callback()
-                        finally:
-                            tracer.current = None
-                    self._events_fired += 1
-                else:
-                    self.step()
-            else:
-                heappop(heap)
-                self.now = event.time
-                event._state = _FIRED
-                self._pending -= 1
-                if not event.weak:
-                    self._strong_pending -= 1
-                event.callback()
-                self._events_fired += 1
-            fired += 1
-            if fired >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely a scheduling loop"
-                )
+        fired = self._drain(time, max_events, strong_only=False,
+                            runaway=True)
         self.now = max(self.now, time)
         return fired
-
-    def _next_pending_time(self) -> Optional[float]:
-        heap = self._heap
-        while heap and heap[0][2]._state != _PENDING:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
     # -- introspection ---------------------------------------------------
 
@@ -362,11 +307,6 @@ class Simulator:
     @property
     def events_fired(self) -> int:
         return self._events_fired
-
-    def add_trace_hook(self, hook: Callable[[Event], None]) -> None:
-        """Register a hook called with each event just before it fires."""
-        self._trace_hooks.append(hook)
-        self._recompute_plain()
 
     # -- tracing ---------------------------------------------------------
 
@@ -389,13 +329,13 @@ class Simulator:
             self.tracer = Tracer(self, capacity=capacity,
                                  trace_events=trace_events,
                                  profile_events=profile_events)
-        self._recompute_plain()
+        self._select_dispatch()
         return self.tracer
 
     def disable_tracing(self) -> None:
         """Detach the recording tracer and return to the no-op default."""
         self.tracer = NULL_TRACER
-        self._recompute_plain()
+        self._select_dispatch()
 
     # -- profiling --------------------------------------------------------
 
@@ -412,13 +352,13 @@ class Simulator:
         if self.profiler is None:
             from repro.obs.profile import LoopProfiler  # avoid cycle
             self.profiler = LoopProfiler(self)
-        self._recompute_plain()
+        self._select_dispatch()
         return self.profiler
 
     def disable_profiling(self) -> None:
         """Detach the profiler; recorded stats remain readable on it."""
         self.profiler = None
-        self._recompute_plain()
+        self._select_dispatch()
 
 
 class Process:

@@ -75,6 +75,13 @@ class TestRunUntil:
         sim.run()
         assert fired == [1, 2]
 
+    def test_run_until_includes_events_at_the_bound(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        assert sim.run_until(2.0) == 1
+        assert fired == [2.0]
+
     def test_run_until_advances_clock_even_when_idle(self):
         sim = Simulator()
         sim.run_until(10.0)
@@ -95,6 +102,25 @@ class TestRunUntil:
         sim.schedule(0.001, respawn)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
+        assert sim.events_fired == 100
+        with pytest.raises(SimulationError):
+            sim.run_until(sim.now + 1.0, max_events=100)
+        assert sim.events_fired == 200
+
+    def test_run_spending_exactly_max_events_is_not_runaway(self):
+        sim = Simulator()
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda: None)
+        assert sim.run(max_events=3) == 3
+        assert sim.pending_events == 0
+
+    def test_run_until_spending_exactly_max_events_reaches_time(self):
+        sim = Simulator()
+        for delay in (1.0, 2.0, 3.0, 11.0):
+            sim.schedule(delay, lambda: None)
+        assert sim.run_until(10.0, max_events=3) == 3
+        assert sim.now == 10.0
+        assert sim.pending_events == 1
 
 
 class TestIntrospection:
@@ -112,18 +138,40 @@ class TestIntrospection:
         sim.run()
         assert sim.events_fired == 3
 
-    def test_trace_hook_sees_events(self):
-        sim = Simulator()
-        seen = []
-        sim.add_trace_hook(lambda e: seen.append(e.label))
-        sim.schedule(1.0, lambda: None, label="tick")
-        sim.run()
-        assert seen == ["tick"]
-
     def test_simulator_rng_deterministic(self, seeded_sim):
         a = seeded_sim(5).rng.stream("x").random()
         b = seeded_sim(5).rng.stream("x").random()
         assert a == b
+
+
+@pytest.mark.parametrize("drive", [lambda sim: sim.run(),
+                                   lambda sim: sim.run_until(10.0)],
+                         ids=["run", "run_until"])
+def test_instruments_switched_mid_run_apply_from_the_next_event(drive):
+    sim = Simulator()
+    fired = []
+    attached = {}
+    switches = {
+        1: lambda: attached.update(tracer=sim.enable_tracing()),
+        3: sim.disable_tracing,
+        4: lambda: attached.update(profiler=sim.enable_profiling()),
+        6: sim.disable_profiling,
+    }
+    for n in range(1, 8):
+        def fire(n=n):
+            fired.append(n)
+            switches.get(n, lambda: None)()
+        sim.schedule(float(n), fire, label=f"e{n}")
+    drive(sim)
+    assert fired == [1, 2, 3, 4, 5, 6, 7]
+    assert sim.events_fired == 7 and sim.pending_events == 0
+    # The event that attaches an instrument is not seen by it; the one
+    # that detaches it still is.
+    assert sorted(attached["tracer"].profile) == ["e2", "e3"]
+    assert sorted(attached["profiler"].stats) == ["e5", "e6"]
+    # Everything detached again: back on the uninstrumented dispatcher,
+    # so an instrument that was switched off costs nothing per event.
+    assert sim._dispatch is None
 
 
 class TestProcess:

@@ -12,6 +12,8 @@ Three bugs shipped together and are pinned here:
 3. ``call_soon`` silently dropped ``weak``, scheduling strong-only.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,33 +123,150 @@ class TestCallSoonWeak:
         assert fired == ["s"]
 
 
+LITE = {"trace_events": False, "profile_events": False}
+# mode -> (enable_tracing keywords or None, profiler attached)
+MODES = {
+    "plain": (None, False),
+    "lite": (LITE, False),
+    "full": ({}, False),
+    "profiler": (None, True),
+    "lite+profiler": (LITE, True),
+    "full+profiler": ({}, True),
+}
+
+
+class Boom(Exception):
+    """Raised by the one misbehaving callback of a case."""
+
+
+def _play(ops, raiser, mode, driver, chunks, stepwise):
+    """Apply ``ops`` to a fresh simulator under ``mode``, then empty it
+    the way ``driver`` does. ``stepwise`` spells the driver's stop rule
+    with ``step()`` and the test's own view of which events are live:
+    the reference the real driver is compared against."""
+    sim = Simulator()
+    tracing, profiling = MODES[mode]
+    calls = {"begin_event": 0, "end_event": 0}
+    if tracing is not None:
+        tracer = sim.enable_tracing(**tracing)
+        for name in calls:
+            def counted(event, name=name, orig=getattr(tracer, name)):
+                calls[name] += 1
+                orig(event)
+            setattr(tracer, name, counted)
+    if profiling:
+        sim.enable_profiling()
+    events = []
+    order = []
+
+    def live():
+        return [e for e in events if not e.cancelled and not e.fired]
+
+    def live_strong_count():
+        return sum(1 for e in live() if not e.weak)
+
+    def add(delay, weak, kind):
+        index = len(events)
+
+        def fire():
+            order.append(index)
+            if kind == "spawn":
+                add(delay / 2, weak, "plain")
+            elif kind == "cancel":
+                events[int(delay * len(events)) % len(events)].cancel()
+            if index == raiser:
+                raise Boom
+
+        # Every other event, and the raiser, is scheduled inside a span,
+        # so both arms of the lite dispatcher (with and without a
+        # context) run and the raise hits the one with state to reset.
+        in_span = index % 2 or index == raiser
+        with sim.tracer.trace("op") if in_span else nullcontext():
+            events.append(sim.schedule(delay, fire, weak=weak))
+
+    def attempt(call):
+        # A raising callback aborts the driver; Boom (truthy) says so.
+        try:
+            return call()
+        except Boom:
+            return Boom
+        finally:
+            assert sim.tracer.current is None
+
+    def step():
+        return attempt(sim.step)
+
+    for action, delay, weak in ops:
+        if action == "schedule":
+            add(delay, weak, ("plain", "spawn", "cancel")[len(events) % 3])
+        elif action == "cancel" and events:
+            # Deterministic pick: bounce across the list via the delay.
+            events[int(delay * len(events)) % len(events)].cancel()
+        elif action == "run_next":
+            step()
+        assert sim._strong_pending == live_strong_count()
+        assert sim._strong_pending >= 0
+
+    if driver == "step":
+        while step():
+            pass
+    elif driver == "run":
+        if stepwise:
+            while live_strong_count():
+                step()
+        else:
+            while attempt(sim.run) is Boom:
+                pass  # what the raise left behind is still due
+    else:
+        for dt in chunks:
+            until = sim.now + dt
+            if stepwise:
+                while any(e.time <= until for e in live()):
+                    step()
+                sim.now = until
+            else:
+                while attempt(lambda: sim.run_until(until)) is Boom:
+                    pass
+    assert sim._strong_pending == live_strong_count()
+    assert sim.pending_events == len(live())
+    if driver != "run_until":
+        assert sim._strong_pending == 0
+
+    if tracing is not None:
+        assert sim.tracer.events_traced == len(order)
+        expected = 0 if tracing is LITE else len(order)
+        assert calls == {"begin_event": expected, "end_event": expected}
+    if profiling:
+        assert sim.profiler.events == sim.events_fired
+    return (order, sim.now, sim.events_fired, sim.pending_events,
+            sim._strong_pending)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["schedule", "cancel", "run_next"]),
                           st.floats(min_value=0.0, max_value=10.0,
                                     allow_nan=False),
                           st.booleans()),
-                max_size=60))
-def test_property_strong_pending_matches_live_strong_events(ops):
+                max_size=60),
+       st.integers(min_value=0, max_value=5),
+       st.sampled_from(["step", "run", "run_until"]),
+       st.lists(st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+                max_size=6))
+def test_property_strong_pending_matches_live_strong_events(
+        ops, raiser, driver, chunks):
     """``_strong_pending`` must always equal the number of scheduled,
     uncancelled, unfired strong events — under any interleaving of
     scheduling, cancellation (including repeats and post-fire cancels),
-    and event delivery."""
-    sim = Simulator()
-    events = []
+    and event delivery, with callbacks that schedule children, cancel
+    siblings and (the ``raiser``-th) raise.
 
-    def live_strong_count():
-        return sum(1 for e in events
-                   if not e.weak and not e.cancelled and not e.fired)
-
-    for action, delay, weak in ops:
-        if action == "schedule":
-            events.append(sim.schedule(delay, lambda: None, weak=weak))
-        elif action == "cancel" and events:
-            # Deterministic pick: bounce across the list via the delay.
-            events[int(delay * len(events)) % len(events)].cancel()
-        elif action == "run_next":
-            sim.step()
-        assert sim._strong_pending == live_strong_count()
-        assert sim._strong_pending >= 0
-    sim.run()
-    assert sim._strong_pending == live_strong_count() == 0
+    And the engine has one loop: every instrument mode under every
+    driver must fire the same events in the same order, and end with
+    the same clock and counters, as the bare simulator under ``step()``.
+    Every mode runs on every case (rather than one drawn mode), so a
+    case whose raiser fires checks all six dispatch paths.
+    """
+    reference = _play(ops, raiser, "plain", driver, chunks, stepwise=True)
+    for mode in MODES:
+        assert _play(ops, raiser, mode, driver, chunks,
+                     stepwise=False) == reference, mode
