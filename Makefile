@@ -51,8 +51,8 @@ bench-scale:
 	python scripts/bench_scale.py
 
 # Zipf x fleet-size NoCDN offload sweep: placement strategies vs the
-# traditional-CDN edge baseline -> BENCH_nocdn.json (several minutes;
-# the 10k-home cells dominate).
+# traditional-CDN edge baseline -> BENCH_nocdn.json (about 80 s; the
+# 10k-home cells dominate).
 bench-nocdn:
 	python scripts/bench_nocdn_fleet.py
 

@@ -34,9 +34,13 @@ Key metrics:
   ``load_errors``, ``fully_redundant``, and ``unhandled_alerts`` — the
   control plane must never trade correctness for latency.
 - ``BENCH_nocdn.json``: exact-match guards per Zipf x fleet x strategy
-  cell on ``loads_ok``/``load_errors``/``total_bytes`` (the seeded
-  workload is deterministic) and on ``offload_gate`` — collaborative
-  placement must keep strictly beating the naive per-peer cache.
+  cell on every deterministic fact (``loads_ok``, ``load_errors``,
+  ``total_bytes``, ``origin_offload``, ``byte_hit_ratio``,
+  ``bytes_from_peers``, ``origin_egress_bytes``,
+  ``aggregation_uplink_bytes`` — the seeded workload repeats exactly,
+  so an optimisation that moves any of them changed behaviour) and on
+  ``offload_gate`` — collaborative placement must keep strictly
+  beating the naive per-peer cache. ``wall_seconds`` is not gated.
 - ``BENCH_obs.json``: the full-stack observability overhead ratio
   (lower-is-better) plus exact guards on ``within_budget`` (the <=10%
   overhead ceiling), ``deterministic`` (byte-identical same-seed
@@ -84,6 +88,11 @@ KEY_METRICS = [
     ("BENCH_nocdn.json", "cells.{cell}.loads_ok", "exact"),
     ("BENCH_nocdn.json", "cells.{cell}.load_errors", "exact"),
     ("BENCH_nocdn.json", "cells.{cell}.total_bytes", "exact"),
+    ("BENCH_nocdn.json", "cells.{cell}.origin_offload", "exact"),
+    ("BENCH_nocdn.json", "cells.{cell}.byte_hit_ratio", "exact"),
+    ("BENCH_nocdn.json", "cells.{cell}.bytes_from_peers", "exact"),
+    ("BENCH_nocdn.json", "cells.{cell}.origin_egress_bytes", "exact"),
+    ("BENCH_nocdn.json", "cells.{cell}.aggregation_uplink_bytes", "exact"),
     ("BENCH_nocdn.json", "offload_gate", "exact"),
     ("BENCH_obs.json", "fleets.{fleet}.overhead_ratio", "lower"),
     ("BENCH_obs.json", "fleets.{fleet}.within_budget", "exact"),

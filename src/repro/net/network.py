@@ -123,6 +123,10 @@ class Network:
         self._graph = nx.Graph()
         self._path_cache: Dict[Tuple[str, str], Path] = {}
         self._routing_epoch = 0
+        # Bumped by every Node.power_off/power_on, so a cache of "which
+        # hosts are up" (the NoCDN origin's usable-peer view) can tell
+        # it is current with one comparison instead of a fleet scan.
+        self.power_epoch = 0
         # Optional fast-path route constructor, consulted on cache miss
         # before the generic shortest-path solver. Returning None falls
         # back to Dijkstra, so a provider only needs to cover the

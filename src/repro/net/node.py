@@ -67,9 +67,11 @@ class Node:
     def power_off(self) -> None:
         """Failure injection: node stops responding until powered on."""
         self._powered = False
+        self.network.power_epoch += 1
 
     def power_on(self) -> None:
         self._powered = True
+        self.network.power_epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         addr = str(self.address) if self.interfaces else "unaddressed"

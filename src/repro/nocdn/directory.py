@@ -23,7 +23,7 @@ same one-interval bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.counters import MetricsRegistry
 from repro.net.address import Address
@@ -118,7 +118,7 @@ class ContentDirectory:
 
     def holders(self, site: str, name: str,
                 exclude: Iterable[str] = (),
-                live: Optional[Set[str]] = None) -> List[str]:
+                live: Optional[AbstractSet[str]] = None) -> List[str]:
         """Peers believed to hold ``(site, name)``, sorted for
         determinism. ``live`` optionally restricts to a live set."""
         self._c_lookups.inc()

@@ -8,7 +8,9 @@ maintains peer trust; detects anomalies; and pays peers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.http.content import ContentCatalog, WebPage
@@ -24,7 +26,8 @@ from repro.net.network import Network
 from repro.net.node import Host
 from repro.nocdn.directory import ContentDirectory
 from repro.nocdn.records import UsageRecord
-from repro.nocdn.selection import RandomSelection, SelectionPolicy, chunked_assignment
+from repro.nocdn.selection import (RandomSelection, SelectionPolicy,
+                                   UsablePeers, chunked_assignment)
 from repro.nocdn.strategy import CacheStrategy, StrategySelection
 from repro.nocdn.wrapper import LOADER_SCRIPT_SIZE, ChunkAssignment, WrapperPage
 from repro.util.crypto import NonceRegistry, deterministic_key
@@ -36,7 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class PeerInfo:
-    """The origin's view of one recruited peer."""
+    """The origin's view of one recruited peer.
+
+    ``trust``, ``expelled`` and ``quarantined_until`` feed the
+    provider's cached usable view: change them through the provider
+    (``expel_peer``, ``quarantine_peer``, the audit's penalties), or
+    before its first wrapper — a later direct write is not seen until
+    the next membership change.
+    """
 
     peer_id: str
     host: Host
@@ -143,6 +153,12 @@ class ContentProvider:
         self.expel_threshold = expel_threshold
         self.sim = network.sim
         self.peers: Dict[str, PeerInfo] = {}
+        # The membership index (see ``usable_peers``): the cached view,
+        # the earliest quarantine expiry pending when it was built, and
+        # the network's power epoch it was built under.
+        self._usable_view: Optional[UsablePeers] = None
+        self._usable_until = 0.0
+        self._usable_power_epoch = 0
         self.audit = AuditStats()
         self.audit_by_peer: Dict[str, AuditStats] = {}
         self.payable_bytes: Dict[str, float] = {}
@@ -175,6 +191,7 @@ class ContentProvider:
         info = PeerInfo(peer_id=service.peer_id, host=service.hpop.host,
                         service=service)
         self.peers[info.peer_id] = info
+        self._usable_view = None
         if self.strategy is not None:
             self.strategy.register_peer(info.peer_id)
         return info
@@ -184,6 +201,7 @@ class ContentProvider:
         info = self.peers.get(peer_id)
         if info is not None:
             info.expelled = True
+            self._usable_view = None
             if self.strategy is not None:
                 self.strategy.unregister_peer(peer_id)
             if self.directory is not None:
@@ -204,6 +222,7 @@ class ContentProvider:
         expiry = self.sim.now + duration
         if expiry > info.quarantined_until:
             info.quarantined_until = expiry
+            self._usable_view = None
         info.quarantines += 1
         # The directory must not advertise a quarantined peer: its
         # shard range re-homes to ring successors (ownership is always
@@ -217,8 +236,33 @@ class ContentProvider:
     def _usable(self, info: PeerInfo) -> bool:
         return info.alive and self.sim.now >= info.quarantined_until
 
+    def usable_peers(self) -> UsablePeers:
+        """The usable peers in registration order, as a cached view.
+
+        Every consumer — wrapper assignment, the fallback shortlist,
+        the peers' ``should_cache`` checks — reads this one view, so a
+        wrapper's cost does not grow with the fleet. It is rebuilt by a
+        ``_usable`` scan only when something ``_usable`` reads may have
+        changed: a membership write on this provider dropped it, a
+        quarantine pending at the last scan has since expired, or some
+        host on the network was powered on or off. The last also covers
+        ``service.running``: ``Hpop`` start/shutdown/crash/restart flip
+        it and power the host in the same call.
+        """
+        now = self.sim.now
+        if (self._usable_view is None or now >= self._usable_until
+                or self.network.power_epoch != self._usable_power_epoch):
+            peers = self.peers.values()
+            self._usable_view = UsablePeers(
+                p for p in peers if self._usable(p))
+            self._usable_until = min(
+                (p.quarantined_until for p in peers
+                 if p.quarantined_until > now), default=math.inf)
+            self._usable_power_epoch = self.network.power_epoch
+        return self._usable_view
+
     def alive_peers(self) -> List[PeerInfo]:
-        return [p for p in self.peers.values() if self._usable(p)]
+        return list(self.usable_peers())
 
     # -- routes ------------------------------------------------------------------
 
@@ -300,7 +344,7 @@ class ContentProvider:
                       client_host_name: str = "") -> Optional[WrapperPage]:
         """Generate a wrapper for ``page``, or None if no peers are usable."""
         self._prune_expired_keys()
-        peers = self.alive_peers()
+        peers = self.usable_peers()
         if not peers:
             return None
         rng = self.sim.rng.stream(f"nocdn.select.{self.site_name}")
@@ -330,13 +374,9 @@ class ContentProvider:
         # peers *without* an assignment qualify: a substitute serves
         # arbitrary objects, so its byte cap must cover the whole page,
         # which would defeat auditing for an already-capped peer.
-        fallbacks = [
-            info.peer_id for info in sorted(
-                (p for p in peers if p.peer_id not in used_peer_ids),
-                key=lambda p: (-p.trust, p.peer_id))
-        ]
-        if self.max_fallbacks is not None:
-            fallbacks = fallbacks[: self.max_fallbacks]
+        fallbacks = list(islice(
+            (peer_id for peer_id in peers.ranking
+             if peer_id not in used_peer_ids), self.max_fallbacks))
         peer_endpoints = {}
         peer_keys = {}
         from repro.hpop.core import HPOP_PORT
@@ -441,8 +481,11 @@ class ContentProvider:
         if info is None:
             return
         info.trust *= self.trust_penalty
+        self._usable_view = None  # the fallback ranking reads trust
         if info.trust < self.expel_threshold:
-            info.expelled = True
+            # Through expel_peer, so the peer also leaves the strategy's
+            # ring and the directory stops advertising its copies.
+            self.expel_peer(peer_id)
 
     # -- corruption reports ----------------------------------------------------------------
 

@@ -275,7 +275,7 @@ class NoCdnPeerService(HpopService):
         provider = signup.provider
         strategy = provider.strategy
         if strategy is not None:
-            live = {p.peer_id for p in provider.alive_peers()}
+            live = provider.usable_peers().ids
             if not strategy.should_cache(self.peer_id, obj.name, live):
                 return
         stored = signup.cache.store(obj, self.sim.now)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.http.content import WebPage
 from repro.net.network import Network, NetworkError
@@ -20,6 +21,32 @@ from repro.nocdn.wrapper import ChunkAssignment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nocdn.origin import PeerInfo
+
+
+class UsablePeers(tuple):
+    """The usable peers of one membership state, in registration order.
+
+    This is the ``peers`` sequence the origin hands to a policy. It is
+    immutable and the origin reuses it for every wrapper until
+    membership changes (see ``ContentProvider.usable_peers``), so the
+    id set, the sorted ids and the trust ranking are each derived at
+    most once per membership state, on first use — never per wrapper.
+    """
+
+    @cached_property
+    def ids(self) -> FrozenSet[str]:
+        return frozenset(info.peer_id for info in self)
+
+    @cached_property
+    def ordered(self) -> Tuple[str, ...]:
+        """The ids sorted: the population seeded random picks draw from."""
+        return tuple(sorted(self.ids))
+
+    @cached_property
+    def ranking(self) -> Tuple[str, ...]:
+        """The ids, most trusted first (ties by id)."""
+        return tuple(info.peer_id for info in sorted(
+            self, key=lambda info: (-info.trust, info.peer_id)))
 
 
 class SelectionPolicy:

@@ -29,9 +29,11 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, TYPE_CHECKING
+from itertools import compress
+from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple, TYPE_CHECKING)
 
-from repro.nocdn.selection import SelectionPolicy
+from repro.nocdn.selection import SelectionPolicy, UsablePeers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.nocdn.directory import ContentDirectory
@@ -44,6 +46,36 @@ def _hash_point(token: str) -> int:
         hashlib.sha256(token.encode()).digest()[:8], "big")
 
 
+def _merge_runs(points: List[int], owners: List[str],
+                extra_points: List[int], extra_owners: List[str],
+                ) -> Tuple[List[int], List[str]]:
+    """Merge two runs, each sorted by ``(point, owner)``, into one.
+
+    The shorter run is spliced into the longer: one Python step per
+    entry of the shorter, C-speed slice copies for everything between.
+    """
+    if len(extra_points) > len(points):
+        points, owners, extra_points, extra_owners = (
+            extra_points, extra_owners, points, owners)
+    if not extra_points:
+        return points, owners  # the bulk build: no second copy of it
+    merged_points: List[int] = []
+    merged_owners: List[str] = []
+    done, n = 0, len(points)
+    for point, owner in zip(extra_points, extra_owners):
+        at = bisect.bisect_left(points, point, done)
+        while at < n and points[at] == point and owners[at] < owner:
+            at += 1
+        merged_points += points[done:at]
+        merged_points.append(point)
+        merged_owners += owners[done:at]
+        merged_owners.append(owner)
+        done = at
+    merged_points += points[done:]
+    merged_owners += owners[done:]
+    return merged_points, merged_owners
+
+
 class HashRing:
     """A consistent-hash ring with virtual nodes.
 
@@ -53,6 +85,18 @@ class HashRing:
     changed peer, never a full reshuffle. ``arc_share`` exposes the
     exact fraction of keyspace a peer owns, which the property tests
     use to pin the <= 2/n remapping bound.
+
+    ``add_peer``/``remove_peer`` are O(1): they only record the change.
+    The next lookup applies everything pending in one routine — drop
+    the leavers' points in one pass, hash and sort the joiners'
+    ``vnodes`` points each (nobody else's), and merge the two sorted
+    runs. The first lookup after a fleet-sized sign-up burst is the
+    case "every peer is a joiner", i.e. one bulk build (insert-sorting
+    10k sign-ups one by one would be quadratic); a later single-peer
+    change costs that peer's hashes plus C-speed copies of the arrays.
+    The arrays are the ``(point, peer)`` pairs of the current peer set
+    in sorted order whatever the history of changes, so they equal a
+    fresh bulk build exactly, ties between peers included.
     """
 
     def __init__(self, vnodes: int = 64) -> None:
@@ -62,11 +106,10 @@ class HashRing:
         self._points: List[int] = []       # sorted hash points
         self._owners: List[str] = []       # peer id per point
         self._peers: Set[str] = set()
-        # Membership changes only mark the ring dirty; the sorted
-        # arrays rebuild once on the next lookup. Insert-sorting per
-        # peer is O(vnodes^2 * n^2) for a fleet-sized sign-up burst —
-        # minutes at 10k peers — while one deferred sort is O(V log V).
-        self._dirty = False
+        # Changes since the arrays were last brought up to date: peers
+        # whose points are not in them yet / are still in them.
+        self._joined: Set[str] = set()
+        self._left: Set[str] = set()
 
     def __contains__(self, peer_id: str) -> bool:
         return peer_id in self._peers
@@ -82,27 +125,50 @@ class HashRing:
         if peer_id in self._peers:
             return
         self._peers.add(peer_id)
-        self._dirty = True
+        if peer_id in self._left:
+            self._left.discard(peer_id)    # its points never went away
+        else:
+            self._joined.add(peer_id)
 
     def remove_peer(self, peer_id: str) -> None:
         if peer_id not in self._peers:
             return
         self._peers.discard(peer_id)
-        self._dirty = True
+        if peer_id in self._joined:
+            self._joined.discard(peer_id)  # its points never got in
+        else:
+            self._left.add(peer_id)
 
-    def _ensure_sorted(self) -> None:
-        if not self._dirty:
+    def _apply_pending(self) -> None:
+        joined, left = self._joined, self._left
+        if not joined and not left:
             return
-        self._dirty = False
-        pairs = sorted(
-            (_hash_point(f"{peer_id}#{v}"), peer_id)
-            for peer_id in self._peers for v in range(self.vnodes))
-        self._points = [p for p, _ in pairs]
-        self._owners = [o for _, o in pairs]
+        points, owners = self._points, self._owners
+        if left:
+            keep = [owner not in left for owner in owners]
+            points = list(compress(points, keep))
+            owners = list(compress(owners, keep))
+        self._points, self._owners = _merge_runs(
+            points, owners, *self._sorted_run(joined))
+        joined.clear()
+        left.clear()
+
+    def _sorted_run(self, peer_ids: Iterable[str],
+                    ) -> Tuple[List[int], List[str]]:
+        """The peers' vnode points as (points, owners), sorted as pairs.
+
+        Only these peers' points ever become tuples, and the tuples die
+        with this call: pairing up a whole ring to re-sort it costs
+        several times the merge, and a pair list alive beside the
+        arrays shows in a 10k-home fleet's peak RSS.
+        """
+        pairs = sorted((_hash_point(f"{peer_id}#{v}"), peer_id)
+                       for peer_id in peer_ids for v in range(self.vnodes))
+        return [p for p, _ in pairs], [o for _, o in pairs]
 
     def owner(self, key: str, live: Iterable[str]) -> Optional[str]:
         """First live ring successor of ``key``, or None if none live."""
-        self._ensure_sorted()
+        self._apply_pending()
         if not self._points:
             return None
         live_set = live if isinstance(live, (set, frozenset)) else set(live)
@@ -124,7 +190,7 @@ class HashRing:
 
     def arc_shares(self, live: Iterable[str]) -> Dict[str, float]:
         """Keyspace fraction owned by each live peer (sums to 1.0)."""
-        self._ensure_sorted()
+        self._apply_pending()
         live_set = live if isinstance(live, (set, frozenset)) else set(live)
         if not self._points or not live_set:
             return {}
@@ -170,15 +236,17 @@ class CacheStrategy:
 
     # -- placement ------------------------------------------------------
 
-    def home_peer(self, key: str, live: Set[str]) -> Optional[str]:
+    def home_peer(self, key: str, live: AbstractSet[str]) -> Optional[str]:
         """The peer that should durably cache ``key``, if sharded."""
         return None
 
-    def should_cache(self, peer_id: str, key: str, live: Set[str]) -> bool:
+    def should_cache(self, peer_id: str, key: str,
+                     live: AbstractSet[str]) -> bool:
         """May ``peer_id`` keep a filled copy of ``key``?"""
         return True
 
-    def serving_peer(self, key: str, live: Set[str], rng: random.Random,
+    def serving_peer(self, key: str, live: AbstractSet[str],
+                     rng: random.Random,
                      directory: Optional["ContentDirectory"] = None,
                      site: str = "",
                      ordered: Optional[Sequence[str]] = None,
@@ -195,7 +263,7 @@ class CacheStrategy:
         """Popularity feedback from the origin's wrapper assignment."""
 
 
-def _pick(live: Set[str], rng: random.Random,
+def _pick(live: AbstractSet[str], rng: random.Random,
           ordered: Optional[Sequence[str]]) -> str:
     return rng.choice(ordered if ordered is not None else sorted(live))
 
@@ -310,16 +378,18 @@ class StrategySelection(SelectionPolicy):
         self.site = site
 
     def assign(self, page, client, peers, network, rng):
-        by_id = {info.peer_id: info for info in peers}
-        live = set(by_id)
-        ordered = sorted(live)
+        # The origin hands over its cached view, whose id set and
+        # sorted ids outlive this call; anything else is wrapped once.
+        if not isinstance(peers, UsablePeers):
+            peers = UsablePeers(peers)
+        live, ordered = peers.ids, peers.ordered
         assignment = {}
         for obj in page.all_objects():
             self.strategy.record_request(obj.name, obj.size)
             peer_id = self.strategy.serving_peer(
                 obj.name, live, rng, directory=self.directory,
                 site=self.site, ordered=ordered)
-            if peer_id is None or peer_id not in by_id:
+            if peer_id is None or peer_id not in live:
                 peer_id = rng.choice(ordered)
             assignment[obj.name] = peer_id
         return assignment

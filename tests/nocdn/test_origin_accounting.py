@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.http.messages import HttpRequest
 from repro.nocdn.records import make_record
 
 from tests.nocdn.harness import NoCdnWorld
@@ -55,6 +56,30 @@ class TestTrustDynamics:
         assert not world.provider.peers[peer_id].expelled
         world.provider._penalize(peer_id)   # 0.01 < 0.05
         assert world.provider.peers[peer_id].expelled
+
+    def test_trust_expulsion_leaves_ring_and_directory(self):
+        # Crossing the trust threshold is an expulsion like any other:
+        # the peer must leave the strategy's ring and the directory
+        # must stop advertising its copies, or neighbours keep
+        # forwarding misses to a peer the origin no longer trusts.
+        world = NoCdnWorld(num_peers=3, strategy="sharded",
+                           trust_penalty=0.1, expel_threshold=0.05)
+        for _ in range(3):  # warm every home peer's cache
+            world.load_page()
+        provider, directory = world.provider, world.provider.directory
+        held = {key: holders for key, holders in directory.entries().items()
+                if holders}
+        bad = next(iter(held.values()))[0]
+        assert bad in provider.strategy.ring
+        for _ in range(2):  # 1.0 -> 0.1 -> 0.01 < 0.05
+            provider._accept_corruption_report(HttpRequest(
+                "POST", provider.corruption_report_path,
+                body={"peer_id": bad}))
+        assert provider.peers[bad].expelled
+        assert bad not in provider.strategy.ring
+        assert all(bad not in directory.holders(site, name)
+                   for site, name in held)
+        assert bad not in [p.peer_id for p in provider.alive_peers()]
 
     def test_penalize_unknown_peer_is_noop(self):
         world = NoCdnWorld(num_peers=1)

@@ -10,11 +10,13 @@ quiesces, its entries mirror the caches they describe.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.http.cache import HttpCache
 from repro.http.content import WebObject
+from repro.nocdn import strategy as strategy_module
 from repro.nocdn.directory import ContentDirectory, DirectoryPublisher
 from repro.nocdn.strategy import RING_SPACE, HashRing
 from repro.sim.engine import Simulator
@@ -130,6 +132,87 @@ class TestBoundedRemapping:
         shares = ring.arc_shares(live)
         assert set(shares) == live
         assert abs(sum(shares.values()) - 1.0) < 1e-9
+
+
+ring_ops = st.lists(
+    st.tuples(st.sampled_from(["add", "remove", "lookup"]),
+              st.integers(0, 11)),                     # peer index
+    min_size=1, max_size=60)
+
+
+def bulk_built(peers, vnodes):
+    fresh = HashRing(vnodes=vnodes)
+    for pid in sorted(peers):
+        fresh.add_peer(pid)
+    fresh.arc_shares(peers)  # any lookup applies what is pending
+    return fresh
+
+
+class TestIncrementalRing:
+    """The ring applies joins and leaves to its sorted arrays in place of
+    rebuilding them; whatever the history, the arrays must be the ones
+    a bulk build of the same peer set produces."""
+
+    @given(op_list=ring_ops, vnodes=st.sampled_from([1, 3, 64]),
+           point_space=st.sampled_from([None, 16]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_history_equals_a_bulk_build(self, op_list, vnodes,
+                                             point_space):
+        # A tiny hash space makes different peers collide on the same
+        # point, so the (point, peer) tie order is exercised too.
+        real = strategy_module._hash_point
+        squeezed = (real if point_space is None
+                    else lambda token: real(token) % point_space)
+        with mock.patch.object(strategy_module, "_hash_point", squeezed):
+            ring = HashRing(vnodes=vnodes)
+            peers = set()
+            for op, i in op_list:
+                pid = f"peer{i}"
+                if op == "add":
+                    ring.add_peer(pid)
+                    peers.add(pid)
+                elif op == "remove":
+                    ring.remove_peer(pid)
+                    peers.discard(pid)
+                else:
+                    assert ring.owner(f"key{i}", peers) == \
+                        bulk_built(peers, vnodes).owner(f"key{i}", peers)
+            assert ring.peers == peers
+            shares = ring.arc_shares(peers)
+            fresh = bulk_built(peers, vnodes)
+            assert ring._points == fresh._points
+            assert ring._owners == fresh._owners
+            assert len(ring._points) == vnodes * len(peers)
+            assert shares == fresh.arc_shares(peers)
+            if peers and point_space is None:
+                assert abs(sum(shares.values()) - 1.0) < 1e-9
+
+    def test_single_peer_change_hashes_only_that_peer(self, monkeypatch):
+        ring = HashRing()
+        members = {f"peer{i}" for i in range(500)}
+        for pid in members:
+            ring.add_peer(pid)
+        ring.arc_shares(members)
+        hashed = []
+        real = strategy_module._hash_point
+        monkeypatch.setattr(
+            strategy_module, "_hash_point",
+            lambda token: hashed.append(token) or real(token))
+        ring.add_peer("joiner")
+        ring.arc_shares(members)
+        assert sorted(hashed) == sorted(
+            f"joiner#{v}" for v in range(ring.vnodes))
+        del hashed[:]
+        ring.remove_peer("peer7")
+        ring.arc_shares(members)
+        assert hashed == []
+        ring.add_peer("flapper")      # joins and leaves between two
+        ring.remove_peer("flapper")   # lookups: never hashed at all
+        ring.remove_peer("peer8")     # leaves and rejoins: points kept
+        ring.add_peer("peer8")
+        ring.arc_shares(members)
+        assert hashed == []
+        assert ring._owners == bulk_built(ring.peers, 64)._owners
 
 
 ops = st.lists(
