@@ -2,8 +2,7 @@ PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
 .PHONY: check test bench bench-check bench-scale bench-nocdn bench-obs \
-	experiments trace-smoke obs-smoke chaos control-smoke nocdn-smoke \
-	dashboard study study-smoke bench-platform
+	experiments chaos dashboard study bench-platform
 
 check:
 	./scripts/check.sh
@@ -11,17 +10,8 @@ check:
 test:
 	python -m pytest -x -q
 
-trace-smoke:
-	python scripts/trace_smoke.py
-
-obs-smoke:
-	python scripts/obs_smoke.py
-
 chaos:
 	python scripts/chaos_soak.py
-
-control-smoke:
-	python scripts/control_smoke.py
 
 dashboard:
 	python scripts/dashboard_report.py --chaos --out-dir artifacts/dashboard
@@ -33,9 +23,6 @@ dashboard:
 study:
 	python scripts/study_run.py --scenario chaos --seeds 101-116 \
 		--out artifacts/study
-
-study-smoke:
-	python scripts/study_smoke.py
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only -q
@@ -55,9 +42,6 @@ bench-scale:
 # 10k-home cells dominate).
 bench-nocdn:
 	python scripts/bench_nocdn_fleet.py
-
-nocdn-smoke:
-	python scripts/nocdn_strategy_smoke.py
 
 # Full-stack observability overhead at the 100k-home flagship scale:
 # lite tracing + tail sampling + rollups + TSDB + SLO monitor vs the

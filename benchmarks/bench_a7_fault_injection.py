@@ -20,7 +20,7 @@ if str(REPO_ROOT) not in sys.path:
 from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 
-from tests.integration.test_chaos import NUM_LOADS, run_chaos
+from repro.workloads.chaos import NUM_LOADS, run_chaos
 
 SEED = 101
 CHURN_LEVELS = (0.0, 0.05, 0.20)

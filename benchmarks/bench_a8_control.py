@@ -22,7 +22,7 @@ from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 
 from repro.faults.plan import FaultPlan, LinkFlap, NodeCrash
-from tests.integration.test_chaos import ChaosWorld
+from repro.workloads.chaos import ChaosWorld
 
 SEED = 101
 CHURN = 0.20

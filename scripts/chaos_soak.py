@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Fixed-seed chaos soak (``make chaos``).
 
-Drives the acceptance scenario from ``tests/integration/test_chaos.py``
-at a fixed seed and churn level, twice, and verifies the headline
+Drives the chaos world (``repro.workloads.chaos``, the scenario the
+acceptance tests in ``tests/integration/test_chaos.py`` run) at a
+fixed seed and churn level, twice, and verifies the headline
 guarantees of the fault-injection subsystem:
 
 1. every page load started during the churn window completes,
@@ -34,16 +35,16 @@ import pathlib
 import sys
 import tempfile
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
-from tests.integration.test_chaos import (  # noqa: E402
+from repro.workloads.chaos import (  # noqa: E402
     CHURN_FRACTION,
     NUM_LOADS,
     run_chaos,
 )
+from study_run import parse_seeds  # noqa: E402
 
 
 def soak(seed: int, fraction: float, controller: bool = False,
@@ -167,20 +168,6 @@ def soak_seeds(seeds, fraction: float, workers: int, out: str,
         return _drive(pathlib.Path(tmp) / "chaos-soak")
 
 
-def parse_seed_list(text: str):
-    seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part.lstrip("-"):
-            lo, _, hi = part.partition("-")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
-    return seeds
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=101)
@@ -203,7 +190,11 @@ def main() -> int:
                              "NoCDN world)")
     args = parser.parse_args()
     if args.seeds:
-        status = soak_seeds(parse_seed_list(args.seeds), args.fraction,
+        try:
+            seeds = parse_seeds(args.seeds)
+        except ValueError as exc:
+            parser.error(str(exc))
+        status = soak_seeds(seeds, args.fraction,
                             args.workers, args.out, args.controller,
                             args.strategy)
         if status == 0:

@@ -32,10 +32,9 @@ import os
 import pathlib
 import sys
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
 from repro.obs.dashboard import (RunArtifacts, build_html,  # noqa: E402
                                  build_markdown, dashboard_json)
@@ -49,7 +48,7 @@ ARTIFACT_FILES = {"trace": "trace.jsonl", "tsdb": "tsdb.jsonl",
 def run_chaos_instrumented(seed: int, out_dir: pathlib.Path,
                            controller: bool = True) -> dict:
     """Drive the chaos scenario with every telemetry layer attached."""
-    from tests.integration.test_chaos import ChaosWorld, CHURN_FRACTION
+    from repro.workloads.chaos import CHURN_FRACTION, ChaosWorld
 
     world = ChaosWorld(seed)
     tracer = world.sim.enable_tracing(capacity=262144)

@@ -18,7 +18,7 @@ Examples::
         --grid fraction=0.0,0.1,0.2 --out artifacts/churn-sweep
     python scripts/study_run.py --scenario mymod:my_cell --seeds 1-8
 
-Scenario names are built-ins (``chaos``, ``fleet``) or a
+Scenario names are built-ins (``chaos``, ``fleet``, ``nocdn_fleet``) or a
 ``module:callable`` path; see ``repro/experiments/scenarios.py`` for
 the cell contract.
 """

@@ -466,7 +466,6 @@ class PeerBackupService(HpopService):
         def fetch_from(holder_name: str, index: int) -> None:
             friend = holders.get(holder_name)
             if friend is None:
-                one_failed()
                 return
             state["pending"] += 1
 
@@ -489,9 +488,6 @@ class PeerBackupService(HpopService):
                 on_error=lambda exc: (state.__setitem__(
                     "pending", state["pending"] - 1), maybe_give_up()))
 
-        def one_failed() -> None:
-            maybe_give_up()
-
         def maybe_give_up() -> None:
             if (not state["finished"] and state["pending"] == 0
                     and len({s.index for s in collected}) < entry.k):
@@ -499,6 +495,10 @@ class PeerBackupService(HpopService):
 
         for index, holder_name in enumerate(entry.shard_holders):
             fetch_from(holder_name, index)
+        # Only once every known holder has been asked: a holder this
+        # appliance has not befriended must not end the restore while
+        # fetches to the others are still to be issued.
+        maybe_give_up()
 
     def restore_all(self, on_done: Callable[[int, int], None],
                     target_attic=None) -> None:

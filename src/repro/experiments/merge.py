@@ -14,8 +14,8 @@ Determinism contract: the merge is a pure function of the *set* of
 runs. Runs are processed in sorted-id order and the bootstrap RNG is
 seeded from the series name alone, so any permutation of the same
 exports — any worker count, any scheduling — produces byte-identical
-band arrays. ``tests/experiments`` property-tests this and
-``scripts/study_smoke.py`` gates it end to end.
+band arrays. ``tests/experiments`` property-tests this and gates it
+end to end through the study runner.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ in-flight cell has neither and simply re-runs.
 
 Workers never share state and the merged summary is built from
 artifacts sorted by cell id, so worker count and scheduling order
-cannot change a single summary byte — ``scripts/study_smoke.py``
-gates exactly that.
+cannot change a single summary byte —
+``tests/experiments/test_runner.py`` gates exactly that.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ the merged summary, whose bytes must not depend on scheduling.
 Scenarios are addressed by name so a :class:`~repro.experiments.spec.
 StudySpec` stays picklable and journal-friendly:
 
-- built-ins registered here (``chaos``, ``fleet``), or
+- built-ins registered here (``chaos``, ``fleet``, ``nocdn_fleet``), or
 - a ``module:callable`` dotted path resolved at run time in the
   worker process (the module must be importable there — under the
   default fork start method workers inherit ``sys.path``).
@@ -45,9 +45,7 @@ def run_chaos_cell(seed: int, params: Mapping[str, Any],
     ring buffer and its bytes), ``exemplars`` (link firing SLO alerts
     to their worst in-window request trace; off by default).
     """
-    # Lazy: the chaos world lives with the integration tests, and the
-    # study machinery must import without the tests package on path.
-    from tests.integration.test_chaos import CHURN_FRACTION, ChaosWorld
+    from repro.workloads.chaos import CHURN_FRACTION, ChaosWorld
 
     fraction = float(params.get("fraction", CHURN_FRACTION))
     num_peers = int(params.get("num_peers", 8))
@@ -124,8 +122,6 @@ def run_fleet_cell(seed: int, params: Mapping[str, Any],
                    out_dir: pathlib.Path) -> Dict[str, Any]:
     """A scraped background-traffic fleet (no faults, no SLOs).
 
-    Self-contained (no tests import), so it doubles as the smoke
-    scenario for environments where only ``src`` is on the path.
     Params: ``homes``, ``focus_homes``, ``sim_seconds``, plus the
     fleet-observability ride-alongs (all default-off, keeping the
     classic export bytes): ``per_home_metrics`` folds every idle

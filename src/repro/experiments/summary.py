@@ -18,8 +18,8 @@ are processed in sorted-id order, and the bootstrap is seeded from
 series names — so the same set of per-run artifacts serialises to the
 same bytes regardless of worker count, scheduling order, or how many
 resume round-trips produced them. ``summary_bytes`` is the canonical
-encoding; ``scripts/study_smoke.py`` and the hypothesis permutation
-test enforce the contract.
+encoding; ``tests/experiments/test_runner.py`` (worker counts,
+resume) and the hypothesis permutation test enforce the contract.
 """
 
 from __future__ import annotations

@@ -91,9 +91,9 @@ class HttpClient:
 
         ``via_path`` overrides the forward (client->server) path — used
         for TURN-relayed attic access. The reverse path is the routed
-        reverse unless the forward was overridden, in which case its
-        mirror is approximated by the same path in reverse order being
-        unavailable; we then use the routed reverse between endpoints.
+        reverse between the endpoints, unless the forward was
+        overridden: responses then travel the mirror of ``via_path``
+        (the same links in the opposite direction and order).
         """
         stats = ExchangeStats(started_at=self.sim.now)
         deadline = timeout if timeout is not None else self.timeout

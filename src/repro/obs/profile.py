@@ -45,8 +45,9 @@ class LoopProfiler:
     measured wall duration of its callback; everything else is
     read-side. The profiler never touches simulated state, RNG streams,
     or the event heap, so enabling it cannot change a run's outcome —
-    only its speed (budgeted at <= 5% when disabled, measured by
-    ``scripts/obs_smoke.py``).
+    only its speed, and only while attached: detaching the last
+    instrument restores the engine's plain loop (``sim._dispatch is
+    None``), the same code a never-profiled simulator runs.
     """
 
     def __init__(self, sim: Any) -> None:

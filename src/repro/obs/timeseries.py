@@ -23,7 +23,8 @@ Design notes
   never touch RNG streams or reorder service events. Exports round
   times/values and serialize with sorted keys, so two runs from the
   same seed produce byte-identical files — asserted by
-  ``scripts/obs_smoke.py`` and the chaos telemetry test.
+  ``tests/integration/test_quickstart_exports.py`` and the chaos
+  telemetry test.
 - **Bounded memory.** Each series holds at most ``max_points`` points.
   On overflow the oldest half is collapsed pairwise (resolution
   doubles), so a series always spans the whole run with fine detail at

@@ -46,6 +46,24 @@ def generate_catalog(spec: CatalogSpec, rng: random.Random,
     return catalog
 
 
+def make_catalog(num_pages: int = 1, objects_per_page: int = 4,
+                 object_size: int = 50_000,
+                 container_size: int = 20_000) -> ContentCatalog:
+    """A fixed-shape catalog: every page and object the same size."""
+    catalog = ContentCatalog()
+    for p in range(num_pages):
+        url = f"/page{p}"
+        container = WebObject(f"page{p}.html", container_size,
+                              content_type="text/html")
+        embedded = tuple(
+            WebObject(f"page{p}-obj{i}.bin", object_size)
+            for i in range(objects_per_page)
+        )
+        catalog.add_page(WebPage(url=url, container=container,
+                                 embedded=embedded))
+    return catalog
+
+
 class ZipfPagePopularity:
     """Draws page URLs with Zipf popularity — the web's request shape."""
 

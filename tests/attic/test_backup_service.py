@@ -127,8 +127,12 @@ class TestRestore:
         sim.run()
         assert restored == [False]
 
-    def test_restore_onto_replacement_appliance(self):
-        """The whole-home-loss scenario: a new HPoP gets the data back."""
+    def restore_onto_replacement(self, unknown=()):
+        """The whole-home-loss scenario: a new HPoP gets the data back.
+
+        ``unknown`` indexes the manifest's holder list: those holders
+        are not re-friended by the replacement appliance.
+        """
         sim, city, owner, services = self.backed_up_world()
         owner.hpop.shutdown()  # the house burned down
         # A replacement appliance in a new home, same friends.
@@ -138,16 +142,36 @@ class TestRestore:
         new_attic = new_hpop.install(DataAtticService())
         replacement = new_hpop.install(PeerBackupService(k=3, m=2))
         new_hpop.start()
+        holders = owner.manifest["/u0/docs/tax.pdf"].shard_holders
+        strangers = {holders[i] for i in unknown}
         for friend in services[1:]:
-            replacement.add_friend(friend)
+            if friend.owner_name not in strangers:
+                replacement.add_friend(friend)
         # The manifest survives (e.g. printed QR / cloud-noted); copy it.
         replacement.manifest = dict(owner.manifest)
         restored = []
         replacement.restore_file("/u0/docs/tax.pdf", restored.append,
                                  target_attic=new_attic)
         sim.run()
+        return restored, new_attic
+
+    def test_restore_onto_replacement_appliance(self):
+        restored, new_attic = self.restore_onto_replacement()
         assert restored == [True]
         assert new_attic.dav.tree.exists("/u0/docs/tax.pdf")
+
+    @pytest.mark.parametrize("missing", range(5))
+    def test_restore_asks_every_known_holder(self, missing):
+        """One holder the replacement never re-friended must not end
+        the restore, wherever it sits in the manifest's holder list."""
+        restored, new_attic = self.restore_onto_replacement([missing])
+        assert restored == [True]
+        assert new_attic.dav.tree.exists("/u0/docs/tax.pdf")
+
+    def test_restore_fails_with_k_holders_unknown(self):
+        restored, new_attic = self.restore_onto_replacement([0, 2, 4])
+        assert restored == [False]  # 2 reachable < k=3, reported once
+        assert not new_attic.dav.tree.exists("/u0/docs/tax.pdf")
 
     def test_restore_unknown_path(self):
         sim, _city, owner, _services = build()

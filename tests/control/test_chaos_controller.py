@@ -1,7 +1,10 @@
 """Control plane under the chaos scenario: acted-on alerts, convergence,
 re-registration, and a byte-identical decision log per seed."""
 
-from tests.integration.test_chaos import NUM_LOADS, run_chaos
+from repro.workloads.chaos import NUM_LOADS, run_chaos
+
+# Sim-seconds from an alert firing to its resolution, controller on.
+CONVERGENCE_BUDGET_S = 30.0
 
 
 class TestControllerUnderChurn:
@@ -34,7 +37,7 @@ class TestControllerUnderChurn:
         conv = ctl.convergences()
         assert conv, "no alert converged during the run"
         for record in conv:
-            assert record["convergence_s"] > 0
+            assert 0 < record["convergence_s"] <= CONVERGENCE_BUDGET_S
             assert record["fired_t"] < record["t"]
         assert (world.controller.metrics.histograms[
             "convergence_seconds"].count == len(conv))

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.experiments import StudySpec, load_journal, run_study
+from repro.experiments import (
+    StudySpec,
+    build_summary,
+    load_journal,
+    run_study,
+    summary_bytes,
+)
 from repro.experiments.manifest import load_manifest
 from repro.experiments.runner import cell_dir
 
@@ -14,6 +20,13 @@ BROKEN = "tests.experiments.toy:broken_scenario"
 
 def toy_spec(seeds=(1, 2), workers=1, **kwargs):
     return StudySpec.build(TOY, seeds=seeds, workers=workers, **kwargs)
+
+
+def drop_journal_line(study_dir, cell_id):
+    journal = study_dir / "journal.jsonl"
+    kept = [line for line in journal.read_text().splitlines()
+            if json.loads(line)["cell"] != cell_id]
+    journal.write_text("".join(line + "\n" for line in kept))
 
 
 class TestRun:
@@ -31,13 +44,24 @@ class TestRun:
 
     def test_pooled_run_matches_inline_artifacts(self, tmp_path):
         inline, pooled = tmp_path / "inline", tmp_path / "pooled"
-        run_study(toy_spec(workers=1), inline, progress=None)
+        assert run_study(toy_spec(workers=1), inline, progress=None).ok
         result = run_study(toy_spec(workers=2), pooled, progress=None)
         assert result.ok and result.workers == 2
         for cell_id in ("seed1", "seed2"):
             a = (cell_dir(inline, cell_id) / "tsdb.jsonl").read_bytes()
             b = (cell_dir(pooled, cell_id) / "tsdb.jsonl").read_bytes()
             assert a == b, f"{cell_id} artifacts differ across pool sizes"
+        # Worker count and scheduling order may never leak into the
+        # merged cross-run statistics either — and the summary they
+        # agree on has to carry some.
+        summary = build_summary(pooled)
+        assert summary_bytes(summary) == summary_bytes(build_summary(inline))
+        assert set(summary["slo"]["matrix"]) == {"seed1", "seed2"}
+        assert all(summary["slo"]["matrix"].values())
+        assert summary["slo"]["pass_rates"]
+        assert any(band["runs"] == ["seed1", "seed2"]
+                   and band["ci_lo"] != band["ci_hi"]
+                   for band in summary["series"].values())
 
     def test_journal_records_every_cell(self, tmp_path):
         run_study(toy_spec(), tmp_path, progress=None)
@@ -60,14 +84,22 @@ class TestResume:
         assert again.skipped == ["seed1", "seed2"]
 
     def test_missing_cell_rerun_alone(self, tmp_path):
+        """A cell whose artifacts vanished re-runs alone — whether the
+        journal still lists it or (a kill mid-cell) never did — and the
+        summary comes out as if nothing had happened."""
         run_study(toy_spec(), tmp_path, progress=None)
-        victim = cell_dir(tmp_path, "seed2")
-        for path in victim.iterdir():
-            path.unlink()
-        victim.rmdir()
-        resumed = run_study(toy_spec(), tmp_path, progress=None)
-        assert resumed.executed == ["seed2"]
-        assert resumed.skipped == ["seed1"]
+        uninterrupted = summary_bytes(build_summary(tmp_path))
+        for journal_line_lost in (False, True):
+            victim = cell_dir(tmp_path, "seed2")
+            for path in victim.iterdir():
+                path.unlink()
+            victim.rmdir()
+            if journal_line_lost:
+                drop_journal_line(tmp_path, "seed2")
+            resumed = run_study(toy_spec(), tmp_path, progress=None)
+            assert resumed.executed == ["seed2"]
+            assert resumed.skipped == ["seed1"]
+            assert summary_bytes(build_summary(tmp_path)) == uninterrupted
 
     def test_fresh_reruns_everything(self, tmp_path):
         run_study(toy_spec(), tmp_path, progress=None)
@@ -108,10 +140,7 @@ class TestFailures:
         run_study(toy_spec(seeds=(1,)), tmp_path, progress=None)
         stale = cell_dir(tmp_path, "seed1") / "trace.jsonl"
         stale.write_text("stale\n")
-        journal = tmp_path / "journal.jsonl"
-        kept = [line for line in journal.read_text().splitlines()
-                if json.loads(line)["cell"] != "seed1"]
-        journal.write_text("".join(line + "\n" for line in kept))
+        drop_journal_line(tmp_path, "seed1")
         run_study(toy_spec(seeds=(1,)), tmp_path, progress=None)
         assert not stale.exists()
         manifest = load_manifest(cell_dir(tmp_path, "seed1"))

@@ -11,7 +11,7 @@ run (fault log + decision log) is byte-identical per seed.
 
 import pytest
 
-from tests.integration.test_chaos import (
+from repro.workloads.chaos import (
     CHURN_FRACTION,
     NUM_LOADS,
     run_chaos,

@@ -9,8 +9,7 @@ runs from the same seed.
 import pytest
 
 from repro.obs.slo import correlate_alerts
-
-from tests.integration.test_chaos import NUM_LOADS, run_chaos
+from repro.workloads.chaos import NUM_LOADS, run_chaos
 
 SEED = 101
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.hpop.core import Household, Hpop, User
-from repro.http.content import ContentCatalog, WebObject, WebPage
+from repro.http.content import ContentCatalog
 from repro.net.topology import build_city
 from repro.nocdn.directory import ContentDirectory
 from repro.nocdn.loader import PageLoader
@@ -13,23 +13,7 @@ from repro.nocdn.origin import ContentProvider
 from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.strategy import make_strategy
 from repro.sim.engine import Simulator
-
-
-def make_catalog(num_pages: int = 1, objects_per_page: int = 4,
-                 object_size: int = 50_000,
-                 container_size: int = 20_000) -> ContentCatalog:
-    catalog = ContentCatalog()
-    for p in range(num_pages):
-        url = f"/page{p}"
-        container = WebObject(f"page{p}.html", container_size,
-                              content_type="text/html")
-        embedded = tuple(
-            WebObject(f"page{p}-obj{i}.bin", object_size)
-            for i in range(objects_per_page)
-        )
-        catalog.add_page(WebPage(url=url, container=container,
-                                 embedded=embedded))
-    return catalog
+from repro.workloads.web import make_catalog
 
 
 class NoCdnWorld:

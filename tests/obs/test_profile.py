@@ -130,6 +130,7 @@ class TestEngineIntegration:
         assert prof.stats["tick"].count == 10
         assert prof.sim_seconds == pytest.approx(1.0)
         assert prof.wall_seconds > 0
+        assert prof.collapsed_stacks()
 
     def test_disable_detaches_but_keeps_stats(self):
         sim = Simulator(seed=1)

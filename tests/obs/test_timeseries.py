@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.metrics.counters import MetricsRegistry
+from repro.obs.rollup import RollupCohort
 from repro.obs.timeseries import Series, TimeSeriesDB, load_jsonl
 from repro.sim.engine import Simulator
 
@@ -127,6 +128,23 @@ class TestTimeSeriesDB:
         assert db.get("svc.lat_seconds_p50").kind == "gauge"
         assert db.latest("svc.lat_seconds_p50") == pytest.approx(0.2)
         assert db.latest("svc.lat_seconds_p99") == pytest.approx(0.886)
+
+    def test_rollup_cohort_scraped_every_nth_tick(self):
+        sim, db = self.make_db()
+        reg = MetricsRegistry(namespace="home")
+        reqs = reg.counter("reqs", "")
+        cohort = RollupCohort("n0", every=2)
+        cohort.add_member("h0", reg)
+        db.add_rollup(cohort)
+        rows = []
+        for _ in range(5):
+            reqs.inc()
+            db.scrape()
+            rows.append(db.last_scrape_rows)
+        # Scrapes 0, 2 and 4 fold the cohort; 1 and 3 skip it whole.
+        assert [n > 0 for n in rows] == [True, False, True, False, True]
+        series = db.get("cohort:n0/home.reqs")
+        assert [value for _t, value in series.points] == [1.0, 3.0, 5.0]
 
     def test_weak_scrape_cadence_does_not_block_quiescence(self):
         sim, db = self.make_db(interval=0.5)

@@ -1,10 +1,15 @@
 """Fleet-scale background aggregation: correctness and determinism."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, LinkFlap
+from repro.obs.timeseries import TimeSeriesDB
 from repro.sim.engine import Simulator
 from repro.workloads.fleet import (
     FleetSpec,
+    FocusRequestLoad,
     PerHomeBackground,
     build_fleet,
 )
@@ -153,3 +158,91 @@ class TestMeanRates:
         hd, hu = HouseholdProfile.heavy().mean_rates()
         assert hd > 3 * td
         assert hu > 3 * tu
+
+
+GOVERNED_HOMES = 3_000
+
+
+def run_governed_fleet(out_dir, tag):
+    """A fleet under the governed observability stack, one seeded run:
+    per-home registries folded into cohort rollups scraped every other
+    tick, lite tracing with 2% tail sampling, a focus-home request load
+    and a link flap that outlasts the request timeout (a shorter stall
+    just resumes on restore instead of erroring)."""
+    sim = Simulator(seed=23)
+    fleet = build_fleet(sim, FleetSpec(
+        num_homes=GOVERNED_HOMES, focus_homes=4, tick=0.5,
+        per_home_metrics=True, home_metrics_churn=8, rollup_k=4,
+        rollup_every=2))
+    load = FocusRequestLoad(fleet, requests=150, spacing=0.08, timeout=1.5,
+                            slow_every=25, slow_delay=1.0, peer_every=10)
+    FaultInjector(sim, fleet.city.network).apply(
+        FaultPlan([LinkFlap("hpop-n0h1", at=4.0, duration=6.0)]))
+    tracer = sim.enable_tracing(capacity=262_144, trace_events=False,
+                                profile_events=False)
+    sampler = tracer.enable_tail_sampling(rate=0.02, slow_threshold=0.8,
+                                          grace=30.0)
+    tsdb = TimeSeriesDB(sim, interval=2.0)
+    tsdb.add_registry(fleet.registry, source="fleet")
+    tsdb.add_registry(load.metrics, source="focusload")
+    fleet.attach_rollups(tsdb)
+    tsdb.start()
+    fleet.start()
+    load.start()
+    sim.run_until(20.0)
+    fleet.stop()
+    tracer.export_jsonl(str(out_dir / f"{tag}-trace.jsonl"))  # flushes
+    tsdb.export_jsonl(str(out_dir / f"{tag}-tsdb.jsonl"))
+    return SimpleNamespace(out_dir=out_dir, fleet=fleet, load=load,
+                           sampler=sampler, tsdb=tsdb)
+
+
+class TestGovernedFleet:
+    """What the cardinality governor and the tail sampler promise at
+    fleet scale, on a fleet small enough for every test run (the 100k
+    instance is pinned by the platform benchmark's ``fleet_obs_100k``
+    digest and ``BENCH_obs.json``)."""
+
+    @pytest.fixture(scope="class")
+    def governed(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("governed")
+        run = run_governed_fleet(out_dir, "a")
+        run_governed_fleet(out_dir, "b")
+        return run
+
+    @pytest.mark.parametrize("kind", ["trace", "tsdb"])
+    def test_same_seed_exports_byte_identical(self, governed, kind):
+        blob = (governed.out_dir / f"a-{kind}.jsonl").read_bytes()
+        assert blob
+        assert blob == (governed.out_dir / f"b-{kind}.jsonl").read_bytes()
+
+    def test_sampler_thins_but_keeps_every_error_and_fault(self, governed):
+        load, sampler = governed.load, governed.sampler
+        assert load.results
+        assert load.errors, "the flap produced no request errors"
+        kept = sampler.kept_spans()
+        error_traces = {
+            span.trace_id for span in kept
+            if any(span.attrs.get(k) for k in ("error", "timeout", "failed"))}
+        assert len(error_traces) >= len(load.errors)
+        # ... and kept for being errors: a timed-out request is slow
+        # too, which must not be what saves it.
+        assert sampler.kept_by_reason["error"] >= len(load.errors)
+        assert any(span.name.startswith("fault.") for span in kept)
+        assert 0 < sampler.traces_kept < sampler.traces_seen
+
+    def test_rows_per_scrape_far_below_one_series_per_home(self, governed):
+        # O(focus + cohorts * metrics + k), not homes * metrics.
+        assert 0 < governed.tsdb.last_scrape_rows * 50 < GOVERNED_HOMES * 4
+
+    def test_cohort_totals_equal_the_sum_over_their_homes(self, governed):
+        """Conservation: a bump the pool did not mark dirty would be
+        missing from the cohort row for good."""
+        assert len(governed.fleet.pools) == 3
+        for pool in governed.fleet.pools:
+            rows = {name: value
+                    for name, _kind, value in pool.cohort.scrape_rows()}
+            for metric in ("wan_bytes_down", "wan_bytes_up"):
+                assert rows[f"cohort:{pool.cohort.name}/home.{metric}"] \
+                    == sum(pool.registry(i).counters[metric].value
+                           for i in range(pool.num_homes))
