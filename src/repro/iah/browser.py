@@ -69,15 +69,7 @@ class HomeBrowser:
         browser learns it by parsing HTML); the cache work happens on
         the per-object fetches.
         """
-        page = site.catalog.page(url)
-        if page is None:
-            raise KeyError(f"{site.name} has no page {url}")
-        result = PageVisitResult(site=site.name, url=url,
-                                 started_at=self.sim.now,
-                                 completed_at=self.sim.now)
-        objects = list(page.all_objects())
-        remaining = {"count": len(objects)}
-
+        page = self._page(site, url)
         if record_visit:
             self.client.request(
                 hpop_host,
@@ -87,34 +79,23 @@ class HomeBrowser:
                 lambda resp, stats: None, port=443,
                 on_error=lambda exc: None)
 
-        def one(resp, _stats) -> None:
-            if resp.ok:
-                result.bytes_total += resp.body_size
-                provenance = resp.headers.get("X-Cache", "miss")
-                if provenance in ("hit", "revalidated"):
-                    result.cache_hits += 1
-                elif provenance == "lateral":
-                    result.lateral_hits += 1
-                else:
-                    result.cache_misses += 1
+        def account(result: PageVisitResult, resp) -> None:
+            # A failed fetch is booked as a miss.
+            provenance = (resp.headers.get("X-Cache", "miss") if resp.ok
+                          else "miss")
+            if provenance in ("hit", "revalidated"):
+                result.cache_hits += 1
+            elif provenance == "lateral":
+                result.lateral_hits += 1
             else:
                 result.cache_misses += 1
-            finish_one()
 
-        def finish_one(_exc=None) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                result.completed_at = self.sim.now
-                result.object_count = len(objects)
-                on_done(result)
-
-        for obj in objects:
-            self.client.request(
-                hpop_host,
-                HttpRequest("POST", OBJECT_ROUTE,
-                            body={"site": site.name, "object": obj.name},
-                            body_size=150),
-                one, port=443, on_error=finish_one)
+        self._fetch_all(
+            site, page, hpop_host, 443,
+            lambda obj: HttpRequest(
+                "POST", OBJECT_ROUTE,
+                body={"site": site.name, "object": obj.name}, body_size=150),
+            account, on_done)
 
     def load_via_origin(
         self,
@@ -123,10 +104,28 @@ class HomeBrowser:
         on_done: Callable[[PageVisitResult], None],
     ) -> None:
         """The no-HPoP baseline: fetch everything over the WAN."""
+
+        def account(result: PageVisitResult, _resp) -> None:
+            result.cache_misses += 1
+
+        self._fetch_all(
+            site, self._page(site, url), site.host, site.port,
+            lambda obj: HttpRequest(
+                "GET", f"{site.objects_prefix}/{obj.name}", host=site.name),
+            account, on_done)
+
+    @staticmethod
+    def _page(site: Website, url: str) -> WebPage:
         page = site.catalog.page(url)
         if page is None:
             raise KeyError(f"{site.name} has no page {url}")
-        result = PageVisitResult(site=site.name, url=url,
+        return page
+
+    def _fetch_all(self, site: Website, page: WebPage, host: Host, port: int,
+                   request_for, account, on_done) -> None:
+        """Request every object of ``page`` from ``host``; ``account``
+        books each response's provenance, ``on_done`` gets the result."""
+        result = PageVisitResult(site=site.name, url=page.url,
                                  started_at=self.sim.now,
                                  completed_at=self.sim.now)
         objects = list(page.all_objects())
@@ -135,7 +134,7 @@ class HomeBrowser:
         def one(resp, _stats) -> None:
             if resp.ok:
                 result.bytes_total += resp.body_size
-            result.cache_misses += 1
+            account(result, resp)
             finish_one()
 
         def finish_one(_exc=None) -> None:
@@ -146,8 +145,5 @@ class HomeBrowser:
                 on_done(result)
 
         for obj in objects:
-            self.client.request(
-                site.host,
-                HttpRequest("GET", f"{site.objects_prefix}/{obj.name}",
-                            host=site.name),
-                one, port=site.port, on_error=finish_one)
+            self.client.request(host, request_for(obj), one, port=port,
+                                on_error=finish_one)

@@ -234,15 +234,17 @@ class Network:
         """Drop cached routes and bump the routing epoch.
 
         Public hook for out-of-band topology mutation (fault injection
-        changing link delays in place); transports re-evaluate their
-        paths when the epoch moves.
+        changing link delays in place), so the next ``path_between``
+        routes afresh. Running flows do not watch the epoch: a flow
+        reads its path's RTT, loss rate and link state live each round
+        and asks for a new route only when a link on its path is down.
         """
         self._invalidate_routes()
 
     @property
     def routing_epoch(self) -> int:
-        """Increments whenever routes may have changed; flows use this to
-        notice re-routing."""
+        """Increments whenever routes may have changed (a counter for
+        callers that cache routes; nothing in the stack polls it)."""
         return self._routing_epoch
 
     # -- routing ------------------------------------------------------------

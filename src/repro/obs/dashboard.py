@@ -292,6 +292,17 @@ def _profile_rows(art: RunArtifacts, top: int = 10) -> List[List[str]]:
              f"{stat['wall_s'] / total:.1%}"] for label, stat in ranked]
 
 
+def _truncation_note(trace: Trace) -> str:
+    """The truncated-trace warning both renderers print."""
+    breakdown = ""
+    if trace.dropped_by_kind:
+        breakdown = " (" + ", ".join(
+            f"{kind}: {count}" for kind, count
+            in sorted(trace.dropped_by_kind.items())) + ")"
+    return (f"trace truncated — {trace.dropped} spans dropped by the "
+            f"ring buffer{breakdown}.")
+
+
 # -- markdown renderer -------------------------------------------------------
 
 
@@ -383,14 +394,7 @@ def build_markdown(art: RunArtifacts, lookback: float = 10.0) -> str:
 
     if art.trace is not None and art.trace.records:
         if art.trace.dropped:
-            breakdown = ""
-            if art.trace.dropped_by_kind:
-                breakdown = " (" + ", ".join(
-                    f"{kind}: {count}" for kind, count
-                    in sorted(art.trace.dropped_by_kind.items())) + ")"
-            out.append(f"> **WARNING:** trace truncated — "
-                       f"{art.trace.dropped} spans dropped by the ring "
-                       f"buffer{breakdown}.")
+            out.append(f"> **WARNING:** {_truncation_note(art.trace)}")
             out.append("")
         if art.trace.sampling:
             s = art.trace.sampling
@@ -554,9 +558,8 @@ def build_html(art: RunArtifacts, lookback: float = 10.0) -> str:
 
     if art.trace is not None and art.trace.records:
         if art.trace.dropped:
-            body.append(
-                f'<p class="warn">WARNING: trace truncated — '
-                f"{art.trace.dropped} spans dropped by the ring buffer.</p>")
+            body.append(f'<p class="warn">WARNING: '
+                        f"{esc(_truncation_note(art.trace))}</p>")
         if art.trace.sampling:
             s = art.trace.sampling
             body.append(
@@ -743,6 +746,14 @@ def _study_profile_rows(study: StudyArtifacts, top: int = 8,
              f"{stat['wall_s'] / total:.1%}"] for label, stat in ranked]
 
 
+def _alert_correlation_note(alerts: Dict[str, Any]) -> str:
+    """The cross-seed alert↔fault sentence both study renderers print."""
+    total_firing = sum(a["firing"] for a in alerts.values())
+    total_corr = sum(a["correlated"] for a in alerts.values())
+    return (f"{total_firing} burn-rate alerts across {len(alerts)} cells, "
+            f"{total_corr} correlated to an injected fault.")
+
+
 def build_study_markdown(study: StudyArtifacts) -> str:
     """The cross-run study dashboard as one markdown document."""
     summary = study.summary
@@ -784,12 +795,8 @@ def build_study_markdown(study: StudyArtifacts) -> str:
 
     alerts = summary.get("alerts", {})
     if alerts:
-        total_firing = sum(a["firing"] for a in alerts.values())
-        total_corr = sum(a["correlated"] for a in alerts.values())
         out += ["## Alert↔fault correlation across seeds", "",
-                f"{total_firing} burn-rate alerts across "
-                f"{len(alerts)} cells, {total_corr} correlated to an "
-                f"injected fault.", ""]
+                _alert_correlation_note(alerts), ""]
 
     if study.wall_by_cell:
         slowest = study.slowest_cell
@@ -817,7 +824,8 @@ def build_study_html(study: StudyArtifacts) -> str:
         f'<code>{esc(str(meta.get("scenario", "?")))}</code> · '
         f'{len(meta.get("seeds", []))} seeds · '
         f'{len(summary.get("series", {}))} banded series · '
-        f'{meta.get("confidence", 0.95):.0%} bootstrap CI</p>')
+        f'{meta.get("confidence", 0.95):.0%} bootstrap CI '
+        f'({meta.get("resamples", 0)} resamples)</p>')
 
     pass_rates = summary.get("slo", {}).get("pass_rates", [])
     if pass_rates:
@@ -844,6 +852,11 @@ def build_study_html(study: StudyArtifacts) -> str:
         body.append(_html_table(
             ("series", "mean", "CI width", "last mean", "last CI",
              "runs"), rows, spark_col=1))
+
+    alerts = summary.get("alerts", {})
+    if alerts:
+        body.append("<h2>Alert↔fault correlation across seeds</h2>")
+        body.append(f"<p>{_alert_correlation_note(alerts)}</p>")
 
     if study.wall_by_cell:
         slowest = study.slowest_cell

@@ -167,13 +167,16 @@ NULL_TRACER = NullTracer()
 
 
 class _SpanContext:
-    """``with tracer.trace(...)``: activates a new span, finishes on exit."""
+    """Makes a span current for a ``with`` scope, so events scheduled
+    inside inherit it. ``tracer.trace(...)`` finishes its new span on
+    exit; ``tracer.activate(span)`` leaves an open span open."""
 
-    __slots__ = ("_tracer", "_span", "_prev")
+    __slots__ = ("_tracer", "_span", "_finish", "_prev")
 
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
+    def __init__(self, tracer: "Tracer", span: Span, finish: bool) -> None:
         self._tracer = tracer
         self._span = span
+        self._finish = finish
         self._prev: Optional[Span] = None
 
     def __enter__(self) -> Span:
@@ -183,28 +186,8 @@ class _SpanContext:
 
     def __exit__(self, *exc: Any) -> bool:
         self._tracer.current = self._prev
-        self._span.finish()
-        return False
-
-
-class _ActivateContext:
-    """``with tracer.activate(span)``: makes an open span current without
-    finishing it — used around scheduling so child events inherit it."""
-
-    __slots__ = ("_tracer", "_span", "_prev")
-
-    def __init__(self, tracer: "Tracer", span: Span) -> None:
-        self._tracer = tracer
-        self._span = span
-        self._prev: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self._prev = self._tracer.current
-        self._tracer.current = self._span
-        return self._span
-
-    def __exit__(self, *exc: Any) -> bool:
-        self._tracer.current = self._prev
+        if self._finish:
+            self._span.finish()
         return False
 
 
@@ -296,11 +279,11 @@ class Tracer:
         Events scheduled inside the ``with`` block inherit the span as
         their parent context.
         """
-        return _SpanContext(self, self.start_span(name, **attrs))
+        return _SpanContext(self, self.start_span(name, **attrs), finish=True)
 
-    def activate(self, span: Span) -> _ActivateContext:
+    def activate(self, span: Span) -> _SpanContext:
         """Make an *open* span current for a scope without finishing it."""
-        return _ActivateContext(self, span)
+        return _SpanContext(self, span, finish=False)
 
     def current_trace_id(self) -> Optional[int]:
         """Trace id of the current context, or ``None`` outside any trace."""

@@ -1,6 +1,6 @@
 """Transport layer: flow-level TCP and MPTCP."""
 
-from repro.transport.mptcp import MptcpConnection, MptcpStats, MptcpSubflow
+from repro.transport.mptcp import MptcpConnection, MptcpSubflow
 from repro.transport.tcp import (
     DEFAULT_INITIAL_WINDOW_SEGMENTS,
     MSS,
@@ -11,7 +11,6 @@ from repro.transport.tcp import (
 
 __all__ = [
     "MptcpConnection",
-    "MptcpStats",
     "MptcpSubflow",
     "DEFAULT_INITIAL_WINDOW_SEGMENTS",
     "MSS",

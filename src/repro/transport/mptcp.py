@@ -5,9 +5,10 @@ tunneled through waypoints, the server perceives them as ordinary MPTCP
 subflows, and the default RTT-based scheduler splits traffic among them.
 
 The model: an :class:`MptcpConnection` owns the transfer's byte pool;
-each :class:`MptcpSubflow` runs a TCP-like round loop (shared machinery
-with :mod:`repro.transport.tcp`) and *claims* bytes from the pool each
-round. Faster / lower-RTT subflows cycle more often and grow cwnd
+each :class:`MptcpSubflow` owns the same
+:class:`~repro.transport.tcp.CongestionWindow` a :class:`TcpFlow` does
+(window growth, the loss draw, the RTO rule) and *claims* bytes from the
+pool each round. Faster / lower-RTT subflows cycle more often and grow cwnd
 faster, so they naturally pull a larger share — the same emergent
 behaviour as min-RTT scheduling. Client-side steering levers:
 
@@ -22,12 +23,11 @@ behaviour as min-RTT scheduling. Client-side steering levers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.net.network import Path
 from repro.sim.engine import Simulator
-from repro.transport.tcp import MSS, DEFAULT_INITIAL_WINDOW_SEGMENTS, FlowStats
+from repro.transport.tcp import MSS, CongestionWindow, FlowStats
 
 
 class MptcpSubflow:
@@ -41,8 +41,6 @@ class MptcpSubflow:
         overhead_per_packet: int = 0,
         extra_ack_delay: float = 0.0,
         weight: float = 1.0,
-        mss: int = MSS,
-        rng_stream: str = "mptcp.loss",
     ) -> None:
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
@@ -50,22 +48,16 @@ class MptcpSubflow:
         self.sim = connection.sim
         self.path = path
         self.label = label
-        self.mss = mss
-        self.overhead_per_packet = overhead_per_packet
         self.extra_ack_delay = extra_ack_delay
         self.weight = weight
-        self._rng = self.sim.rng.stream(rng_stream)
-        self.cwnd = float(DEFAULT_INITIAL_WINDOW_SEGMENTS * mss)
-        self.ssthresh = float("inf")
+        self._window = CongestionWindow(
+            self.sim.rng.stream("mptcp.loss"), overhead_per_packet)
         self.stats = FlowStats(start_time=self.sim.now)
-        self._consecutive_losses = 0
         self._in_flight = 0.0
         self._parked = False
         self._removed = False
-        self._pending_event = None
         self.path.register_flow(self)
-        self._pending_event = self.sim.call_soon(
-            self._round, label=f"{label}.round")
+        self.sim.call_soon(self._round, label=f"{label}.round")
 
     # -- introspection ----------------------------------------------------
 
@@ -94,12 +86,6 @@ class MptcpSubflow:
 
     # -- engine -----------------------------------------------------------
 
-    def _effective_rate_bps(self) -> float:
-        share = self.path.fair_share_bps(self)
-        efficiency = self.mss / (self.mss + self.overhead_per_packet)
-        window_rate = self.cwnd * 8 / self.rtt
-        return min(window_rate, share * efficiency)
-
     def _round(self) -> None:
         if self._removed or self.connection.done:
             return
@@ -109,52 +95,25 @@ class MptcpSubflow:
             # exactly MPTCP's failover behaviour.
             self.remove()
             return
+        window = self._window
         rtt = self.rtt
-        rate_bps = self._effective_rate_bps()
-        want = rate_bps * rtt / 8 * self.weight
-        claimed = self.connection.claim(min(want, self.cwnd))
+        share_bps = self.path.fair_share_bps(self)
+        want = window.rate_bps(share_bps, rtt) * rtt / 8 * self.weight
+        claimed = self.connection.claim(min(want, window.cwnd))
         if claimed <= 0:
             self._parked = True
             return
         self._in_flight += claimed
 
-        packets = max(1, int(claimed / self.mss))
-        loss_rate = self.path.loss_rate
-        lost_packets = 0
-        if loss_rate > 0:
-            expected = packets * loss_rate
-            lost_packets = int(expected)
-            if self._rng.random() < expected - lost_packets:
-                lost_packets += 1
-        lost_bytes = min(claimed, lost_packets * self.mss)
+        lost_packets = window.draw_losses(claimed, self.path.loss_rate)
+        lost_bytes = min(claimed, lost_packets * MSS)
         delivered = claimed - lost_bytes
-
-        wire_bytes = claimed * (1 + self.overhead_per_packet / self.mss)
-        self.path.carry(self.sim.now, wire_bytes)
-
-        duration = rtt
+        self.path.carry(self.sim.now, window.wire_bytes(claimed))
+        timed_out, pause = window.on_round(lost_packets, rtt, share_bps)
         if lost_packets > 0:
             self.stats.loss_events += 1
             self.stats.retransmitted_bytes += lost_bytes
-            self._consecutive_losses += 1
-            self.ssthresh = max(2 * self.mss, self.cwnd / 2)
-            if self._consecutive_losses >= 3 and self.cwnd <= 4 * self.mss:
-                self.stats.timeouts += 1
-                duration += max(0.2, 2 * rtt)
-                self.cwnd = float(self.mss)
-            else:
-                self.cwnd = self.ssthresh
-        else:
-            self._consecutive_losses = 0
-            if self.cwnd < self.ssthresh:
-                self.cwnd = min(self.cwnd * 2, self.ssthresh)
-            else:
-                self.cwnd += self.mss
-            share_bdp = self.path.fair_share_bps(self) * rtt / 8
-            cap = max(4 * share_bdp, 4 * self.mss)
-            if self.cwnd > cap:
-                self.cwnd = cap
-                self.ssthresh = min(self.ssthresh, cap)
+            self.stats.timeouts += timed_out
 
         def round_end() -> None:
             self._in_flight -= claimed
@@ -169,18 +128,16 @@ class MptcpSubflow:
                 self.connection.restore(lost_bytes)
             self.connection.deliver(delivered)
             if not self.connection.done:
-                self._pending_event = self.sim.call_soon(
-                    self._round, label=f"{self.label}.round")
+                self.sim.call_soon(self._round, label=f"{self.label}.round")
 
-        self._pending_event = self.sim.schedule(
-            duration, round_end, label=f"{self.label}.round-end")
+        self.sim.schedule(rtt + pause, round_end,
+                          label=f"{self.label}.round-end")
 
     def unpark(self) -> None:
         """Resume claiming after the pool regained bytes."""
         if self._parked and not self._removed and not self.connection.done:
             self._parked = False
-            self._pending_event = self.sim.call_soon(
-                self._round, label=f"{self.label}.round")
+            self.sim.call_soon(self._round, label=f"{self.label}.round")
 
     def remove(self) -> None:
         """Withdraw this subflow; in-flight bytes return to the pool at
@@ -190,32 +147,6 @@ class MptcpSubflow:
         self._removed = True
         self.stats.end_time = self.sim.now
         self.path.unregister_flow(self)
-        if self._parked and self._pending_event is not None:
-            self._pending_event.cancel()
-
-
-@dataclass
-class MptcpStats:
-    """Aggregate connection outcomes."""
-
-    start_time: float = 0.0
-    end_time: Optional[float] = None
-    bytes_requested: int = 0
-    bytes_delivered: float = 0.0
-    progress: List[Tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def duration(self) -> Optional[float]:
-        if self.end_time is None:
-            return None
-        return self.end_time - self.start_time
-
-    @property
-    def mean_goodput_bps(self) -> Optional[float]:
-        duration = self.duration
-        if duration is None or duration <= 0:
-            return None
-        return self.bytes_delivered * 8 / duration
 
 
 class MptcpConnection:
@@ -243,7 +174,7 @@ class MptcpConnection:
         self._delivered = 0.0
         self.on_complete = on_complete
         self.subflows: List[MptcpSubflow] = []
-        self.stats = MptcpStats(start_time=sim.now, bytes_requested=nbytes)
+        self.stats = FlowStats(start_time=sim.now, bytes_requested=nbytes)
         self._done = False
 
     # -- pool -------------------------------------------------------------

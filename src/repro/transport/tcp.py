@@ -26,6 +26,85 @@ from repro.sim.engine import Simulator
 
 MSS = 1460  # bytes, the conventional Ethernet-derived segment size
 DEFAULT_INITIAL_WINDOW_SEGMENTS = 10  # RFC 6928 IW10
+MIN_RTO = 0.2  # seconds, floor of a retransmission timeout or stall period
+INITIAL_CWND = float(MSS * DEFAULT_INITIAL_WINDOW_SEGMENTS)
+
+
+class CongestionWindow:
+    """The one sender model: cwnd, ssthresh, the loss draw and the RTO rule.
+
+    :class:`TcpFlow` and :class:`~repro.transport.mptcp.MptcpSubflow`
+    each own one. The owner decides where a round's bytes come from and
+    when they are accounted; it reads the path's fair share and RTT once
+    per round and passes them in, so nothing here touches the network.
+    """
+
+    def __init__(self, rng, overhead_per_packet: int = 0,
+                 cwnd: Optional[float] = None) -> None:
+        self._rng = rng
+        self.overhead_per_packet = overhead_per_packet
+        self.cwnd = INITIAL_CWND if cwnd is None else cwnd
+        self.ssthresh = float("inf")
+        self._consecutive_losses = 0
+
+    def restart(self) -> None:
+        """Back to the initial window, as on a fresh or rerouted path."""
+        self.cwnd = INITIAL_CWND
+
+    def rate_bps(self, share_bps: float, rtt: float) -> float:
+        """min(window rate, network fair share), in bits/sec of goodput."""
+        # Per-packet overhead (tunnel encapsulation) eats into goodput.
+        efficiency = MSS / (MSS + self.overhead_per_packet)
+        window_rate = self.cwnd * 8 / rtt
+        return min(window_rate, share_bps * efficiency)
+
+    def wire_bytes(self, sent: float) -> float:
+        """Bytes ``sent`` bytes of payload occupy on the wire."""
+        return sent * (1 + self.overhead_per_packet / MSS)
+
+    def draw_losses(self, sent: float, loss_rate: float) -> int:
+        """Packets lost out of one round's ``sent`` bytes."""
+        if loss_rate <= 0:
+            return 0
+        # Expected losses with a Bernoulli draw for the remainder keeps
+        # per-round work O(1) instead of O(packets).
+        expected = max(1, int(sent / MSS)) * loss_rate
+        lost_packets = int(expected)
+        if self._rng.random() < expected - lost_packets:
+            lost_packets += 1
+        return lost_packets
+
+    def on_round(self, lost_packets: int, rtt: float,
+                 share_bps: float) -> Tuple[bool, float]:
+        """Advance the window over one round; ``(timed_out, pause)``.
+
+        A loss halves the window (fast retransmit); persistent loss at
+        a tiny window is an RTO that adds ``pause`` to the round. A
+        clean round doubles cwnd below ssthresh and adds one MSS above.
+        """
+        if lost_packets > 0:
+            self._consecutive_losses += 1
+            self.ssthresh = max(2 * MSS, self.cwnd / 2)
+            if self._consecutive_losses >= 3 and self.cwnd <= 4 * MSS:
+                self.cwnd = float(MSS)
+                return True, max(MIN_RTO, 2 * rtt)
+            self.cwnd = self.ssthresh
+            return False, 0.0
+        self._consecutive_losses = 0
+        if self.cwnd < self.ssthresh:
+            self.cwnd = min(self.cwnd * 2, self.ssthresh)
+        else:
+            self.cwnd += MSS
+        # Buffer-limited cap: when the network share (not the window)
+        # is the constraint, real TCP would overflow the bottleneck
+        # queue and settle near the share BDP rather than grow
+        # unboundedly. 4x leaves headroom to grab capacity that
+        # frees up when a competing flow departs.
+        cap = max(4 * (share_bps * rtt / 8), 4 * MSS)
+        if self.cwnd > cap:
+            self.cwnd = cap
+            self.ssthresh = min(self.ssthresh, cap)
+        return False, 0.0
 
 
 @dataclass
@@ -75,12 +154,8 @@ class TcpFlow:
         nbytes: int,
         on_complete: Optional[Callable[["TcpFlow"], None]] = None,
         label: str = "tcp",
-        mss: int = MSS,
-        initial_window_segments: int = DEFAULT_INITIAL_WINDOW_SEGMENTS,
         initial_cwnd_bytes: Optional[float] = None,
         overhead_per_packet: int = 0,
-        extra_rtt: float = 0.0,
-        min_rto: float = 0.2,
         rng_stream: str = "tcp.loss",
         start: bool = True,
     ) -> None:
@@ -89,18 +164,12 @@ class TcpFlow:
         self.sim = sim
         self.path = path
         self.label = label
-        self.mss = mss
-        self.overhead_per_packet = overhead_per_packet
-        self.extra_rtt = extra_rtt
-        self.min_rto = min_rto
-        self._rng = sim.rng.stream(rng_stream)
-        self.cwnd = (initial_cwnd_bytes if initial_cwnd_bytes is not None
-                     else initial_window_segments * mss)
-        self.ssthresh = float("inf")
+        self._window = CongestionWindow(
+            sim.rng.stream(rng_stream), overhead_per_packet,
+            cwnd=initial_cwnd_bytes)
         self.remaining = float(nbytes)
         self.on_complete = on_complete
         self.stats = FlowStats(start_time=sim.now, bytes_requested=nbytes)
-        self._consecutive_losses = 0
         self._active = False
         self._done = False
         self._cancelled = False
@@ -117,8 +186,12 @@ class TcpFlow:
 
     @property
     def rtt(self) -> float:
-        """The flow's operative RTT (path RTT plus any injected delay)."""
-        return self.path.rtt + self.extra_rtt
+        """The path's RTT, read live: faults change link delays in place."""
+        return self.path.rtt
+
+    @property
+    def cwnd(self) -> float:
+        return self._window.cwnd
 
     @property
     def done(self) -> bool:
@@ -159,14 +232,6 @@ class TcpFlow:
 
     # -- the round engine ---------------------------------------------------
 
-    def _effective_rate_bps(self) -> float:
-        """min(window rate, network fair share), in bits/sec of goodput."""
-        share = self.path.fair_share_bps(self)
-        # Per-packet overhead (tunnel encapsulation) eats into goodput.
-        efficiency = self.mss / (self.mss + self.overhead_per_packet)
-        window_rate = self.cwnd * 8 / self.rtt
-        return min(window_rate, share * efficiency)
-
     def _path_is_up(self) -> bool:
         return all(d.link.up for d in self.path.directions)
 
@@ -188,7 +253,7 @@ class TcpFlow:
                 self.stats.reroutes += 1
                 # Congestion state is stale on a new path: restart
                 # conservatively (RFC 2861 spirit).
-                self.cwnd = float(self.mss * DEFAULT_INITIAL_WINDOW_SEGMENTS)
+                self._window.restart()
                 self._pending_event = self.sim.call_soon(
                     self._round, label=f"{self.label}.reroute")
                 return
@@ -199,7 +264,7 @@ class TcpFlow:
             self._teardown()
             return
         self._pending_event = self.sim.schedule(
-            max(self.min_rto, 2 * self.rtt), self._round,
+            max(MIN_RTO, 2 * self.rtt), self._round,
             label=f"{self.label}.stall")
 
     def _round(self) -> None:
@@ -208,78 +273,42 @@ class TcpFlow:
         if not self._path_is_up():
             self._handle_broken_path()
             return
+        window = self._window
         rtt = self.rtt
-        rate_bps = self._effective_rate_bps()
+        share_bps = self.path.fair_share_bps(self)
+        rate_bps = window.rate_bps(share_bps, rtt)
         to_send = min(self.remaining, rate_bps * rtt / 8)
         if to_send <= 0:
             self._finish()
             return
 
-        packets = max(1, int(to_send / self.mss))
-        loss_rate = self.path.loss_rate
-        lost_packets = 0
-        if loss_rate > 0:
-            # Expected losses with a Bernoulli draw for the remainder keeps
-            # per-round work O(1) instead of O(packets).
-            expected = packets * loss_rate
-            lost_packets = int(expected)
-            if self._rng.random() < expected - lost_packets:
-                lost_packets += 1
-        lost_bytes = min(to_send, lost_packets * self.mss)
+        lost_packets = window.draw_losses(to_send, self.path.loss_rate)
+        lost_bytes = min(to_send, lost_packets * MSS)
         delivered = to_send - lost_bytes
-
-        wire_bytes = to_send * (1 + self.overhead_per_packet / self.mss)
-        self.path.carry(self.sim.now, wire_bytes)
+        self.path.carry(self.sim.now, window.wire_bytes(to_send))
 
         self.stats.rounds += 1
         self.stats.bytes_delivered += delivered
         self.remaining -= delivered
-
-        timeout_pause = 0.0
+        timed_out, pause = window.on_round(lost_packets, rtt, share_bps)
         if lost_packets > 0:
             self.stats.loss_events += 1
             self.stats.retransmitted_bytes += lost_bytes
-            self._consecutive_losses += 1
-            self.ssthresh = max(2 * self.mss, self.cwnd / 2)
-            if self._consecutive_losses >= 3 and self.cwnd <= 4 * self.mss:
-                # Persistent loss at a tiny window: model an RTO.
-                self.stats.timeouts += 1
-                timeout_pause = max(self.min_rto, 2 * rtt)
-                self.cwnd = self.mss
-            else:
-                self.cwnd = self.ssthresh
-        else:
-            self._consecutive_losses = 0
-            if self.cwnd < self.ssthresh:
-                self.cwnd = min(self.cwnd * 2, self.ssthresh)
-            else:
-                self.cwnd += self.mss
-            # Buffer-limited cap: when the network share (not the window)
-            # is the constraint, real TCP would overflow the bottleneck
-            # queue and settle near the share BDP rather than grow
-            # unboundedly. 4x leaves headroom to grab capacity that
-            # frees up when a competing flow departs.
-            share_bdp = self.path.fair_share_bps(self) * rtt / 8
-            cap = max(4 * share_bdp, 4 * self.mss)
-            if self.cwnd > cap:
-                self.cwnd = cap
-                self.ssthresh = min(self.ssthresh, cap)
+            self.stats.timeouts += timed_out
 
         # Round duration: a full RTT when there is more to send; for the
         # final round only serialization plus half an RTT remains.
         if self.remaining > 0:
-            duration = rtt + timeout_pause
+            duration = rtt + pause
             self._pending_event = self.sim.schedule(
                 duration, self._round, label=f"{self.label}.round")
-            self.stats.progress.append((self.sim.now + duration,
-                                        self.stats.bytes_delivered))
         else:
             serialize = to_send * 8 / rate_bps if rate_bps > 0 else 0.0
             duration = min(rtt, serialize + rtt / 2)
             self._pending_event = self.sim.schedule(
                 duration, self._finish, label=f"{self.label}.finish")
-            self.stats.progress.append((self.sim.now + duration,
-                                        self.stats.bytes_delivered))
+        self.stats.progress.append((self.sim.now + duration,
+                                    self.stats.bytes_delivered))
 
     def _finish(self) -> None:
         if self._done or self._cancelled:

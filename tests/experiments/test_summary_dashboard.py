@@ -1,6 +1,8 @@
 """End-to-end: toy study -> summary bytes -> study dashboard."""
 
+import html as html_mod
 import json
+import re
 
 import pytest
 
@@ -91,6 +93,35 @@ class TestStudyDashboard:
         study = StudyArtifacts.load(str(study_dir))
         assert "tests.experiments.toy:scenario" in study.title \
             or "study" in study.title
+
+
+class TestStudyHtmlMarkdownParity:
+    def test_every_markdown_section_is_in_the_html(self, tmp_path):
+        # fail_bias 0.5 burns the toy SLO's budget, so the summary has
+        # alerts, some of them inside a toy fault's lookback.
+        spec = StudySpec.build(TOY, seeds=[1, 2], params={"fail_bias": 0.5},
+                               workers=1)
+        assert run_study(spec, tmp_path, progress=None).ok
+        write_summary(tmp_path)
+        study = StudyArtifacts.load(str(tmp_path))
+        alerts = study.summary["alerts"]
+        assert sum(a["correlated"] for a in alerts.values()) > 0
+        md, html = build_study_markdown(study), build_study_html(study)
+        headings = re.findall(r"^## (.+)$", md, re.M)
+        assert headings == [
+            "Cross-run SLO pass rates", "Per-seed verdict matrix",
+            "Cross-run series bands", "Alert↔fault correlation across seeds",
+            "Slowest run"]
+        for heading in headings:
+            assert f"<h2>{html_mod.escape(heading)}</h2>" in html
+        totals = (f"{sum(a['firing'] for a in alerts.values())} burn-rate "
+                  f"alerts across {len(alerts)} cells, "
+                  f"{sum(a['correlated'] for a in alerts.values())} "
+                  f"correlated to an injected fault.")
+        resamples = f"({study.summary['study']['resamples']} resamples)"
+        for text in (totals, resamples):
+            assert text in md
+            assert text in html
 
 
 class TestDashboardJson:

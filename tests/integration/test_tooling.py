@@ -1,6 +1,9 @@
-"""Guards on ``Makefile`` and ``scripts/check.sh`` themselves: nothing
-they name may be missing, and ``make check`` stays pytest only."""
+"""Guards on the tooling itself: nothing ``Makefile`` or
+``scripts/check.sh`` names may be missing and ``make check`` stays
+pytest only; ``src/`` grows no literal clones; every method the
+platform benchmark patches is defined where it looks for it."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -39,3 +42,71 @@ def test_check_runs_only_pytest():
         "--cov-report=term-missing:skip-covered",
         "python -m pytest benchmarks/platform/tests -q",
     ]
+
+
+# -- literal clones in src/ --------------------------------------------------
+
+CLONE_WINDOW = 7        # normalised code lines per window
+CLONE_MIN_CHARS = 160   # shorter windows are boilerplate, not logic
+# The most windows any pair of files (or one file with itself) may
+# share. What is left at this bound is obs/slo.py <-> obs/timeseries.py,
+# the ten-line start/stop/_schedule_next/_tick loop of a weak periodic
+# task. Lower it when that goes; never raise it — share the code.
+MAX_CLONE_WINDOWS = 4
+
+_STRING = re.compile(
+    r'''[rbfuRBFU]*(""".*?"""|\'\'\'.*?\'\'\'|"[^"\n]*"|'[^'\n]*')''', re.S)
+_NUMBER = re.compile(r"\b\d[\d_.eE]*\b")
+
+
+def _code_lines(path):
+    """Stripped lines with literals normalised; blanks, ``#`` lines and
+    bare strings (docstrings) dropped."""
+    text = _NUMBER.sub("N", _STRING.sub("S", path.read_text(encoding="utf-8")))
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines
+            if line and line != "S" and not line.startswith("#")]
+
+
+def clone_windows(root):
+    """{(file, file): windows that occur in both, or twice in one}."""
+    places = {}
+    for path in sorted(root.rglob("*.py")):
+        lines = _code_lines(path)
+        for i in range(len(lines) - CLONE_WINDOW + 1):
+            window = "\n".join(lines[i:i + CLONE_WINDOW])
+            if len(window) >= CLONE_MIN_CHARS:
+                places.setdefault(window, []).append(
+                    (str(path.relative_to(root)), i))
+    pairs = {}
+    for found in places.values():
+        first_file, first_line = found[0]
+        for file, line in found[1:]:
+            # Overlapping windows of one run are not a second place.
+            if file != first_file or line - first_line >= CLONE_WINDOW:
+                pairs[first_file, file] = pairs.get((first_file, file), 0) + 1
+                break
+    return pairs
+
+
+def test_no_file_pair_shares_more_clone_windows_than_the_ratchet():
+    pairs = clone_windows(REPO / "src")
+    assert pairs  # the scan really finds repeated windows
+    assert ("repro/transport/mptcp.py", "repro/transport/tcp.py") not in pairs
+    over = {pair: n for pair, n in pairs.items() if n > MAX_CLONE_WINDOWS}
+    assert not over, f"literal clones above the ratchet: {over}"
+
+
+# -- what the platform benchmark patches -------------------------------------
+
+def test_every_benchmark_entry_point_is_defined_on_its_own_class():
+    # spans.py wraps cls.__dict__[method]: a method hoisted into a base
+    # class would only fail there, in a traced benchmark rep.
+    spec = importlib.util.spec_from_file_location(
+        "platform_spans", REPO / "benchmarks" / "platform" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.ENTRY_POINTS) >= 36
+    for entry in spans.ENTRY_POINTS:
+        cls = getattr(importlib.import_module(entry.module), entry.cls)
+        assert entry.method in vars(cls), entry.name

@@ -1,6 +1,8 @@
 """Dashboard rendering from exported artifacts, plus the sparkline."""
 
+import html as html_mod
 import json
+import re
 
 import pytest
 
@@ -36,10 +38,10 @@ class TestSparkline:
         assert "█" in sparkline(points, width=10)
 
 
-def fixture_artifacts(tmp_path):
+def fixture_artifacts(tmp_path, capacity=65536):
     """Run a tiny instrumented sim and load its exports as RunArtifacts."""
     sim = Simulator(seed=5)
-    tracer = sim.enable_tracing()
+    tracer = sim.enable_tracing(capacity=capacity)
     reg = MetricsRegistry(namespace="svc")
     total = reg.counter("requests", "")
     bad = reg.counter("errors", "")
@@ -150,9 +152,9 @@ class TestHtml:
         assert "&lt;script&gt;" in html
 
 
-def control_fixture(tmp_path):
+def control_fixture(tmp_path, **kwargs):
     """fixture_artifacts plus a control decision log joined in."""
-    art = fixture_artifacts(tmp_path)
+    art = fixture_artifacts(tmp_path, **kwargs)
     firing = next(e for e in art.slo_events if e.get("state") == "firing")
     control_path = tmp_path / "control.jsonl"
     records = [
@@ -216,3 +218,22 @@ class TestControlSection:
         md = build_markdown(fixture_artifacts(tmp_path))
         assert "Remediation decisions" not in md
         assert "not converged" not in md
+
+
+class TestHtmlMarkdownParity:
+    def test_every_markdown_section_is_in_the_html(self, tmp_path):
+        # Every artifact present, and a ring buffer small enough to drop.
+        art = control_fixture(tmp_path, capacity=16)
+        assert art.trace.dropped and art.trace.dropped_by_kind
+        md, html = build_markdown(art), build_html(art)
+        headings = re.findall(r"^## (.+)$", md, re.M)
+        assert headings == [
+            "SLO verdicts", "Burn-rate alerts and correlated faults",
+            "Remediation decisions", "Fault timeline", "Key time series",
+            "Span latency (simulated time, top 10)",
+            "Trace hotspots by event label", "Event-loop profile (host CPU)"]
+        for heading in headings:
+            assert f"<h2>{html_mod.escape(heading)}</h2>" in html
+        for kind, count in art.trace.dropped_by_kind.items():
+            assert f"{kind}: {count}" in md
+            assert f"{kind}: {count}" in html
