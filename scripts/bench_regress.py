@@ -10,8 +10,8 @@ committed baselines record the perf trajectory, and the threshold is
 wide enough to absorb normal jitter while catching real regressions
 (e.g. reintroducing a per-byte GF(256) loop).
 
-``--run`` regenerates the fresh files first by invoking the bench
-experiments in-process; without it, whatever ``make bench`` last wrote
+``--run`` regenerates the fresh files first, each bench experiment in
+a process of its own; without it, whatever ``make bench`` last wrote
 at the repo root is compared. A missing fresh file is reported and
 skipped (the gate only judges benches that actually ran).
 
@@ -54,6 +54,7 @@ import argparse
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -199,23 +200,40 @@ def compare_file(name, threshold):
     return failures, checks, None
 
 
-def run_fresh(names):
-    """Regenerate the root BENCH files by running the experiments."""
+def load_bench(target):
+    """Import a ``BENCH_MODULES`` value: a module name or a ``.py`` path."""
     import importlib
     import importlib.util
+    if not target.endswith(".py"):
+        return importlib.import_module(target)
+    path = REPO_ROOT / target
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# What each child runs; argv[1] is the BENCH_MODULES value.
+_RUN_ONE = ("import sys; sys.path.insert(0, {scripts!r}); "
+            "import bench_regress; "
+            "bench_regress.load_bench(sys.argv[1]).experiment()"
+            ).format(scripts=str(REPO_ROOT / "scripts"))
+
+
+def run_fresh(names):
+    """Regenerate the root BENCH files, one fresh process per file.
+
+    A process of its own keeps one bench's heap out of the next one's
+    ``peak_rss_mb`` (the NoCDN sweep used to set ``BENCH_scale.json``'s
+    100k-home reading at 324 MiB where the fleet alone holds ~39).
+    """
     for name in names:
-        module_name = BENCH_MODULES.get(name)
-        if module_name is None:
+        target = BENCH_MODULES.get(name)
+        if target is None:
             continue
-        print(f"running {module_name} -> {name} ...")
-        if module_name.endswith(".py"):
-            path = REPO_ROOT / module_name
-            spec = importlib.util.spec_from_file_location(path.stem, path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        else:
-            module = importlib.import_module(module_name)
-        module.experiment()
+        print(f"running {target} -> {name} ...", flush=True)
+        subprocess.run([sys.executable, "-c", _RUN_ONE, target],
+                       cwd=REPO_ROOT, check=True)
 
 
 def main(argv=None) -> int:

@@ -36,8 +36,9 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from repro.obs.dashboard import (RunArtifacts, build_html,  # noqa: E402
-                                 build_markdown, dashboard_json)
+from repro.obs.dashboard import (RunArtifacts, dashboard_json,  # noqa: E402
+                                 run_document)
+from repro.obs.document import to_html, to_markdown  # noqa: E402
 
 # Standard artifact filenames --artifacts discovers in a directory.
 ARTIFACT_FILES = {"trace": "trace.jsonl", "tsdb": "tsdb.jsonl",
@@ -156,10 +157,9 @@ def main(argv=None) -> int:
 
     md_path = out_dir / "dashboard.md"
     html_path = out_dir / "dashboard.html"
-    md_path.write_text(build_markdown(art, lookback=args.lookback),
-                       encoding="utf-8")
-    html_path.write_text(build_html(art, lookback=args.lookback),
-                         encoding="utf-8")
+    doc = run_document(art, lookback=args.lookback)
+    md_path.write_text(to_markdown(doc), encoding="utf-8")
+    html_path.write_text(to_html(doc), encoding="utf-8")
     written = f"{md_path} and {html_path}"
     if args.json:
         payload = dashboard_json(art, lookback=args.lookback)

@@ -39,11 +39,8 @@ from repro.experiments import (  # noqa: E402
     run_study,
     write_summary,
 )
-from repro.obs.dashboard import (  # noqa: E402
-    StudyArtifacts,
-    build_study_html,
-    build_study_markdown,
-)
+from repro.obs.dashboard import StudyArtifacts, study_document  # noqa: E402
+from repro.obs.document import to_html, to_markdown  # noqa: E402
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -159,12 +156,12 @@ def main(argv=None) -> int:
               f"{row['mean_error_rate']:.2%}, {row['alerts']} alerts")
 
     if not args.no_dashboard:
-        study = StudyArtifacts.load(args.out, title=args.title)
+        doc = study_document(StudyArtifacts.load(args.out, title=args.title))
         out_dir = pathlib.Path(args.out)
         md_path = out_dir / "study.md"
         html_path = out_dir / "study.html"
-        md_path.write_text(build_study_markdown(study), encoding="utf-8")
-        html_path.write_text(build_study_html(study), encoding="utf-8")
+        md_path.write_text(to_markdown(doc), encoding="utf-8")
+        html_path.write_text(to_html(doc), encoding="utf-8")
         print(f"wrote {md_path} and {html_path}")
 
     return 1 if result.failed else 0

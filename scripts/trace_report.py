@@ -22,7 +22,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.obs.report import load_trace, render_report, report_json  # noqa: E402
+from repro.obs.document import Document, to_text  # noqa: E402
+from repro.obs.report import load_trace, report_json, trace_sections  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -46,7 +47,7 @@ def main(argv=None) -> int:
         print(json.dumps(report_json(trace, top=args.top), sort_keys=True,
                          indent=2))
     else:
-        print(render_report(trace, top=args.top))
+        print(to_text(Document(sections=trace_sections(trace, top=args.top))))
     if args.strict and trace.dropped > 0:
         print(f"strict: {trace.dropped} spans dropped by the ring buffer "
               f"({args.trace} is incomplete; raise the capacity or enable "

@@ -27,7 +27,7 @@ from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics.counters import MetricsRegistry
 from repro.net.address import Address
-from repro.sim.engine import Simulator
+from repro.sim.engine import Process, Simulator
 
 Endpoint = Tuple[Address, int]
 
@@ -159,7 +159,7 @@ class DirectoryPublisher:
         self.peer_id = peer_id
         self.site = site
         self._pending: Dict[str, _Delta] = {}
-        self._started = False
+        self._gossip: Optional[Process] = None
         directory.register_endpoint(peer_id, endpoint)
 
     @property
@@ -185,18 +185,12 @@ class DirectoryPublisher:
 
     def start(self) -> None:
         """Schedule the periodic flush loop (idempotent, weak events)."""
-        if self._started or self.directory.gossip_interval == 0:
+        if self._gossip is not None or self.directory.gossip_interval == 0:
             return
-        self._started = True
-
-        def tick() -> None:
-            self.flush()
-            self.sim.schedule(self.directory.gossip_interval, tick,
-                              label=f"nocdn.gossip.{self.peer_id}",
-                              weak=True)
-
-        self.sim.schedule(self.directory.gossip_interval, tick,
-                          label=f"nocdn.gossip.{self.peer_id}", weak=True)
+        label = f"nocdn.gossip.{self.peer_id}"
+        self._gossip = Process(self.sim, label)
+        self._gossip.every(self.directory.gossip_interval, self.flush,
+                           label=label)
 
     def flush(self) -> int:
         """Apply all batched deltas now; returns how many applied."""

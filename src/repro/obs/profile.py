@@ -16,7 +16,31 @@ way the tracer's ``include_profile`` records are.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
+
+from repro.obs.document import Block, Document, Section, Table, to_text
+
+PROFILE_HEADING = "Event-loop profile (host CPU)"
+
+
+def profile_blocks(profile: Dict[str, Any], top: int = 10) -> List[Block]:
+    """The loop-health summary line and the table of the ``top`` most
+    expensive labels, from a :meth:`LoopProfiler.to_dict` summary — the
+    one layout the run dashboard, the study dashboard's slowest run and
+    :meth:`LoopProfiler.render` all print."""
+    total = profile.get("wall_seconds") or 1.0
+    ranked = sorted(profile.get("labels", {}).items(),
+                    key=lambda kv: (-kv[1]["wall_s"], kv[0]))[:top]
+    return [
+        f"{profile.get('events', 0)} events · "
+        f"{profile.get('wall_seconds', 0) * 1e3:.1f} ms wall · "
+        f"{profile.get('events_per_second', 0):,.0f} events/s · "
+        f"wall/sim ratio {profile.get('wall_sim_ratio', 0):.4f} "
+        f"({profile.get('sim_seconds', 0):.1f} sim-s covered)",
+        Table(("label", "count", "wall ms", "mean us", "share"),
+              [[label, str(stat["count"]), f"{stat['wall_s'] * 1e3:.2f}",
+                f"{stat['wall_s'] / (stat['count'] or 1) * 1e6:.1f}",
+                f"{stat['wall_s'] / total:.1%}"] for label, stat in ranked])]
 
 
 class LabelStat:
@@ -109,24 +133,8 @@ class LoopProfiler:
 
     def render(self, top: int = 10) -> str:
         """Human-readable hotspot table plus the loop-health summary."""
-        lines = ["== event-loop profile (wall clock) =="]
-        header = (f"{'label':<40} {'count':>8} {'wall':>12} "
-                  f"{'mean':>10} {'share':>7}")
-        lines.append(header)
-        lines.append("-" * len(header))
-        total = self.wall_seconds or 1.0
-        for stat in self.top(top):
-            lines.append(
-                f"{stat.label[:40]:<40} {stat.count:>8} "
-                f"{stat.wall_seconds * 1e3:>9.2f} ms "
-                f"{stat.mean_us:>7.1f} us "
-                f"{stat.wall_seconds / total * 100:>6.1f}%")
-        lines.append(
-            f"{self.events} events, {self.wall_seconds * 1e3:.1f} ms wall, "
-            f"{self.events_per_second:,.0f} events/s, "
-            f"wall/sim ratio {self.wall_sim_ratio:.4f} "
-            f"({self.sim_seconds:.1f} sim-s covered)")
-        return "\n".join(lines)
+        return to_text(Document(sections=[Section(
+            PROFILE_HEADING, profile_blocks(self.to_dict(), top))]))
 
     # -- flamegraph export --------------------------------------------------
 

@@ -10,8 +10,9 @@ of each operation, and which event labels burn the host's wall clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.document import Block, Bullet, Bullets, Section, Table, Warn
 from repro.obs.trace import iter_jsonl
 from repro.util.stats import mean, percentile
 
@@ -213,123 +214,105 @@ def hotspots(trace: Trace, top: int = 10
     return rows[:top]
 
 
-# -- rendering -------------------------------------------------------------
-
-
-def _format_table(headers: Sequence[str],
-                  rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i])
-                               for i, cell in enumerate(row)))
-    return "\n".join(lines)
+# -- the report as document sections ---------------------------------------
 
 
 def _fmt_s(value: float) -> str:
-    return f"{value * 1e3:.3f} ms" if value < 1.0 else f"{value:.4f} s"
+    return f"{value * 1e3:.3f} ms" if value < 1.0 else f"{value:.5f} s"
 
 
-def render_report(trace: Trace, top: int = 10) -> str:
-    """The full human-readable report ``trace_report.py`` prints."""
-    sections: List[str] = []
+def frame_line(record: TraceRecord) -> str:
+    """One critical-path frame: when, how long, what, with its attrs."""
+    attrs = "".join(f" {k}={v}" for k, v in sorted(record.attrs.items()))
+    return (f"`t={record.start:.6f} +{record.duration * 1e3:.3f} ms "
+            f"[{record.kind}] {record.name}{attrs}`")
+
+
+def _counts(counts: Iterable[Tuple[str, Any]]) -> str:
+    return ", ".join(f"{key}={count}" for key, count in counts)
+
+
+def trace_sections(trace: Trace, top: int = 10) -> List[Section]:
+    """The whole trace report as document sections.
+
+    ``trace_report.py`` prints :func:`~repro.obs.document.to_text` of
+    these and the run dashboard embeds them, so the two cannot
+    disagree. A truncated trace leads with its warning.
+    """
+    sections: List[Section] = []
 
     if trace.dropped:
-        sections.append(
-            f"WARNING: {trace.dropped} spans dropped by the ring buffer "
-            f"before export; this trace is truncated (raise the tracer "
-            f"capacity or enable tail sampling to capture everything)")
+        blocks: List[Block] = [Warn(
+            f"{trace.dropped} spans dropped by the ring buffer before "
+            f"export; this trace is truncated (raise the tracer capacity "
+            f"or enable tail sampling to capture everything)")]
         if trace.dropped_by_kind:
-            breakdown = ", ".join(
-                f"{kind}={count}" for kind, count
-                in sorted(trace.dropped_by_kind.items()))
-            sections.append(f"  evicted by kind: {breakdown}")
+            blocks.append("evicted by kind: "
+                          + _counts(sorted(trace.dropped_by_kind.items())))
         if trace.dropped_by_name:
-            loudest = sorted(trace.dropped_by_name.items(),
-                             key=lambda kv: (-kv[1], kv[0]))[:top]
-            sections.append("  evicted by name: " + ", ".join(
-                f"{name}={count}" for name, count in loudest))
-        sections.append("")
+            blocks.append("evicted by name: " + _counts(sorted(
+                trace.dropped_by_name.items(),
+                key=lambda kv: (-kv[1], kv[0]))[:top]))
+        sections.append(Section("", blocks))
 
     rows = span_table(trace)
-    sections.append("== span latency (simulated time) ==")
-    if rows:
-        sections.append(_format_table(
-            ("span", "count", "mean", "p50", "p99"),
-            [(name, str(count), _fmt_s(avg), _fmt_s(p50), _fmt_s(p99))
-             for name, count, avg, p50, p99 in rows]))
-    else:
-        sections.append("(no spans recorded)")
+    sections.append(Section("Span latency (simulated time)", [Table(
+        ("span", "count", "mean", "p50", "p99"),
+        [(name, str(count), _fmt_s(avg), _fmt_s(p50), _fmt_s(p99))
+         for name, count, avg, p50, p99 in rows])
+        if rows else "(no spans recorded)"]))
 
     target = slowest_span(trace)
     if target is not None:
-        sections.append("")
-        sections.append(
-            f"== critical path of slowest span: {target.name} "
-            f"({_fmt_s(target.duration)}) ==")
-        for record in critical_path(trace, target):
-            marker = "*" if record.span_id == target.span_id else " "
-            attrs = " ".join(f"{k}={v}" for k, v in
-                             sorted(record.attrs.items()))
-            sections.append(
-                f" {marker} t={record.start:>12.6f}  "
-                f"+{record.duration * 1e3:>10.3f} ms  "
-                f"[{record.kind}] {record.name}"
-                + (f"  {attrs}" if attrs else ""))
+        sections.append(Section(
+            f"Critical path of slowest span: {target.name} "
+            f"({_fmt_s(target.duration)})",
+            [Bullets([Bullet(frame_line(record) + (
+                " ← slowest" if record.span_id == target.span_id else ""))
+                for record in critical_path(trace, target)])]))
 
-    sections.append("")
-    sections.append("== hotspots by event label ==")
     hot = hotspots(trace, top=top)
+    blocks = ["(no events recorded)"]
     if hot:
         wall_based = bool(trace.profile)
-        sections.append(_format_table(
+        blocks = [Table(
             ("label", "count", "wall", "share"),
             [(label, str(count),
-              f"{wall * 1e3:.2f} ms" if wall_based else "-",
-              f"{share * 100:.1f}%")
-             for label, count, wall, share in hot]))
+              f"{wall * 1e3:.2f} ms" if wall_based else "-", f"{share:.1%}")
+             for label, count, wall, share in hot])]
         if not wall_based:
-            sections.append("(no wall-clock profile in this trace; "
-                            "shares are event-count shares)")
-    else:
-        sections.append("(no events recorded)")
+            blocks.append("(no wall-clock profile in this trace; "
+                          "shares are event-count shares)")
+    sections.append(Section("Trace hotspots by event label", blocks))
 
     if trace.sampling:
         s = trace.sampling
-        reasons = ", ".join(f"{k}={v}" for k, v in
-                            sorted((s.get("kept_by_reason") or {}).items()))
-        sections.append("")
-        sections.append(
-            f"== tail sampling ==\n"
+        reasons = _counts(sorted((s.get("kept_by_reason") or {}).items()))
+        blocks = [
             f"{s.get('traces_kept', 0)}/{s.get('traces_seen', 0)} traces "
             f"kept at rate {s.get('rate', 0)} "
             f"({s.get('spans_kept', 0)} spans kept, "
             f"{s.get('spans_discarded', 0)} discarded)"
-            + (f"; kept by reason: {reasons}" if reasons else ""))
+            + (f"; kept by reason: {reasons}" if reasons else "")]
         if s.get("pins_missed") or s.get("late_after_grace"):
-            sections.append(
-                f"WARNING: {s.get('pins_missed', 0)} exemplar pins missed, "
+            blocks.append(Warn(
+                f"{s.get('pins_missed', 0)} exemplar pins missed, "
                 f"{s.get('late_after_grace', 0)} flagged spans arrived "
                 f"after the limbo grace window — raise the sampler's "
-                f"grace so kept traces cannot be lost")
+                f"grace so kept traces cannot be lost"))
+        sections.append(Section("Tail sampling", blocks))
 
     if trace.meta:
-        sections.append("")
-        eps = trace.meta.get("events_per_s", 0.0)
-        sections.append(
+        sections.append(Section("", [
             f"meta: {trace.meta.get('events', 0)} events fired, "
             f"{trace.meta.get('wall_s', 0.0) * 1e3:.1f} ms callback wall "
-            f"clock, {eps:,.0f} events/s, "
-            f"{trace.meta.get('dropped', 0)} records dropped")
-    return "\n".join(sections)
+            f"clock, {trace.meta.get('events_per_s', 0.0):,.0f} events/s, "
+            f"{trace.meta.get('dropped', 0)} records dropped"]))
+    return sections
 
 
 def report_json(trace: Trace, top: int = 10) -> Dict[str, Any]:
-    """The machine-readable twin of :func:`render_report`.
+    """The machine-readable twin of :func:`trace_sections`.
 
     Consumed by CI and the run dashboard (``trace_report.py --json``),
     so the schema is part of the tooling contract: ``span_table`` rows

@@ -168,8 +168,9 @@ class SloMonitor:
         self.events: List[dict] = []
         self._active: Dict[str, Any] = {}   # spec name -> open alert span
         self._listeners: List[Any] = []
-        self._started = False
-        self._stopped = False
+        # Imported here: the engine imports repro.obs for its tracer.
+        from repro.sim.engine import Process
+        self._process = Process(sim, "slo")
         self.started_at: Optional[float] = None
 
     def add_listener(self, fn) -> None:
@@ -183,24 +184,14 @@ class SloMonitor:
     # -- cadence ----------------------------------------------------------
 
     def start(self) -> "SloMonitor":
-        if not self._started:
-            self._started = True
+        if self.started_at is None:
             self.started_at = self.sim.now
-            self._schedule_next()
+            self._process.every(self.interval, self.evaluate,
+                                label="slo.evaluate")
         return self
 
     def stop(self) -> None:
-        self._stopped = True
-
-    def _schedule_next(self) -> None:
-        self.sim.schedule(self.interval, self._tick, label="slo.evaluate",
-                          weak=True)
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.evaluate()
-        self._schedule_next()
+        self._process.stop()
 
     # -- evaluation -------------------------------------------------------
 

@@ -188,8 +188,10 @@ class TimeSeriesDB:
         # Rows appended by the most recent scrape() — the cardinality
         # the governor bounds (O(focus + cohorts + k), not O(homes)).
         self.last_scrape_rows = 0
+        # Imported here: the engine imports repro.obs for its tracer.
+        from repro.sim.engine import Process
+        self._process = Process(sim, "tsdb")
         self._started = False
-        self._stopped = False
 
     # -- registration -----------------------------------------------------
 
@@ -225,22 +227,13 @@ class TimeSeriesDB:
         if not self._started:
             self._started = True
             self.scrape()
-            self._schedule_next()
+            self._process.every(self.interval, self.scrape,
+                                label="tsdb.scrape")
         return self
 
     def stop(self) -> None:
-        """Stop rescheduling (already-queued weak scrape fires inert)."""
-        self._stopped = True
-
-    def _schedule_next(self) -> None:
-        self.sim.schedule(self.interval, self._tick, label="tsdb.scrape",
-                          weak=True)
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        self.scrape()
-        self._schedule_next()
+        """Cancel the queued scrape and stop rescheduling."""
+        self._process.stop()
 
     def scrape(self) -> None:
         """Sample every registered registry and callback right now."""

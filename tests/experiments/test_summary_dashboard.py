@@ -1,8 +1,6 @@
 """End-to-end: toy study -> summary bytes -> study dashboard."""
 
-import html as html_mod
 import json
-import re
 
 import pytest
 
@@ -14,11 +12,9 @@ from repro.experiments import (
     summary_bytes,
     write_summary,
 )
-from repro.obs.dashboard import (
-    StudyArtifacts,
-    build_study_html,
-    build_study_markdown,
-)
+from repro.obs.dashboard import StudyArtifacts, study_document
+from repro.obs.document import to_html, to_markdown
+from tests.obs.test_document import assert_in_every_rendering
 
 TOY = "tests.experiments.toy:scenario"
 
@@ -69,7 +65,7 @@ class TestSummary:
 class TestStudyDashboard:
     def test_markdown_sections(self, study_dir):
         study = StudyArtifacts.load(str(study_dir))
-        md = build_study_markdown(study)
+        md = to_markdown(study_document(study))
         assert "Per-seed verdict matrix" in md
         assert "Cross-run series bands" in md
         assert "Cross-run SLO pass rates" in md
@@ -79,7 +75,7 @@ class TestStudyDashboard:
 
     def test_html_renders_matrix_and_bands(self, study_dir):
         study = StudyArtifacts.load(str(study_dir))
-        html = build_study_html(study)
+        html = to_html(study_document(study))
         assert html.startswith("<!DOCTYPE html>")
         assert "verdict matrix" in html
         assert "toy-availability" in html
@@ -106,22 +102,25 @@ class TestStudyHtmlMarkdownParity:
         study = StudyArtifacts.load(str(tmp_path))
         alerts = study.summary["alerts"]
         assert sum(a["correlated"] for a in alerts.values()) > 0
-        md, html = build_study_markdown(study), build_study_html(study)
-        headings = re.findall(r"^## (.+)$", md, re.M)
-        assert headings == [
+        study.slowest_profile = {
+            "events": 9, "wall_seconds": 0.002, "sim_seconds": 4.0,
+            "wall_sim_ratio": 0.0005, "events_per_second": 4500.0,
+            "labels": {"toy.tick": {"count": 9, "wall_s": 0.002}}}
+        doc = study_document(study)
+        assert [s.heading for s in doc.sections] == [
             "Cross-run SLO pass rates", "Per-seed verdict matrix",
             "Cross-run series bands", "Alert↔fault correlation across seeds",
             "Slowest run"]
-        for heading in headings:
-            assert f"<h2>{html_mod.escape(heading)}</h2>" in html
-        totals = (f"{sum(a['firing'] for a in alerts.values())} burn-rate "
-                  f"alerts across {len(alerts)} cells, "
-                  f"{sum(a['correlated'] for a in alerts.values())} "
-                  f"correlated to an injected fault.")
-        resamples = f"({study.summary['study']['resamples']} resamples)"
-        for text in (totals, resamples):
+        md, _html, _text = assert_in_every_rendering(doc)
+        for text in (
+                f"{sum(a['firing'] for a in alerts.values())} burn-rate "
+                f"alerts across {len(alerts)} cells, "
+                f"{sum(a['correlated'] for a in alerts.values())} "
+                f"correlated to an injected fault.",
+                f"({study.summary['study']['resamples']} resamples)",
+                f"`{study.slowest_cell}` took ",
+                "| toy.tick | 9 | 2.00 | 222.2 | 100.0% |"):
             assert text in md
-            assert text in html
 
 
 class TestDashboardJson:

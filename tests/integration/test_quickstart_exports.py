@@ -12,7 +12,8 @@ from repro.hpop.core import Household, Hpop, User
 from repro.http.client import HttpClient
 from repro.http.messages import HttpRequest
 from repro.net.topology import build_city
-from repro.obs.report import load_trace, render_report
+from repro.obs.document import Document, to_text
+from repro.obs.report import load_trace, trace_sections
 from repro.obs.timeseries import TimeSeriesDB
 from repro.sim.engine import Simulator
 from repro.util.units import kib
@@ -73,10 +74,10 @@ def test_traced_quickstart_is_byte_identical_and_reportable(tmp_path):
     trace = load_trace(str(tmp_path / "p.jsonl"))
     assert trace.spans()
     assert trace.profile
-    report = render_report(trace)
-    for section in ("== span latency (simulated time) ==",
-                    "== critical path of slowest span",
-                    "== hotspots by event label =="):
+    report = to_text(Document(sections=trace_sections(trace)))
+    for section in ("== Span latency (simulated time) ==",
+                    "== Critical path of slowest span",
+                    "== Trace hotspots by event label =="):
         assert section in report
     assert "http.request" in report
 

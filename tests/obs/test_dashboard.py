@@ -1,17 +1,17 @@
 """Dashboard rendering from exported artifacts, plus the sparkline."""
 
-import html as html_mod
 import json
-import re
 
 import pytest
 
 from repro.metrics.counters import MetricsRegistry
-from repro.obs.dashboard import (RunArtifacts, build_html, build_markdown,
+from repro.obs.dashboard import (RunArtifacts, dashboard_json, run_document,
                                  sparkline)
+from repro.obs.document import to_html, to_markdown
 from repro.obs.slo import RatioSli, SloMonitor, SloSpec, BurnRule
 from repro.obs.timeseries import TimeSeriesDB
 from repro.sim.engine import Simulator
+from tests.obs.test_document import assert_in_every_rendering
 
 
 class TestSparkline:
@@ -36,6 +36,14 @@ class TestSparkline:
         # One spike among many flat points must still render as the max.
         points = [(float(t), 100.0 if t == 57 else 1.0) for t in range(100)]
         assert "█" in sparkline(points, width=10)
+
+
+def markdown_of(art):
+    return to_markdown(run_document(art))
+
+
+def html_of(art):
+    return to_html(run_document(art))
 
 
 def fixture_artifacts(tmp_path, capacity=65536):
@@ -104,8 +112,8 @@ class TestRunArtifacts:
         assert partial.trace is None
         assert partial.tsdb == {}
         # Rendering a near-empty artifact set must not raise.
-        assert "Run dashboard" in build_markdown(partial)
-        assert "<html>" in build_html(partial)
+        assert "Run dashboard" in markdown_of(partial)
+        assert "<html>" in html_of(partial)
         del art
 
     def test_correlations(self, tmp_path):
@@ -117,7 +125,7 @@ class TestRunArtifacts:
 
 class TestMarkdown:
     def test_sections_present(self, tmp_path):
-        md = build_markdown(fixture_artifacts(tmp_path))
+        md = markdown_of(fixture_artifacts(tmp_path))
         assert md.startswith("# Run dashboard — unit fixture")
         assert "## SLO verdicts" in md
         assert "## Burn-rate alerts and correlated faults" in md
@@ -129,14 +137,14 @@ class TestMarkdown:
         assert "VIOLATED" in md  # 50% errors against a 10% budget
 
     def test_alert_line_shows_burn(self, tmp_path):
-        md = build_markdown(fixture_artifacts(tmp_path))
+        md = markdown_of(fixture_artifacts(tmp_path))
         assert "`svc-availability`" in md
         assert "burn " in md
 
 
 class TestHtml:
     def test_self_contained_page(self, tmp_path):
-        html = build_html(fixture_artifacts(tmp_path))
+        html = html_of(fixture_artifacts(tmp_path))
         assert html.startswith("<!DOCTYPE html>")
         assert "<style>" in html
         assert "src=" not in html  # no external assets
@@ -147,7 +155,7 @@ class TestHtml:
     def test_escapes_artifact_strings(self, tmp_path):
         art = fixture_artifacts(tmp_path)
         art.title = "<script>alert(1)</script>"
-        html = build_html(art)
+        html = html_of(art)
         assert "<script>" not in html
         assert "&lt;script&gt;" in html
 
@@ -177,12 +185,12 @@ def control_fixture(tmp_path, **kwargs):
 class TestControlSection:
     def test_alert_shows_remediation_and_convergence(self, tmp_path):
         art = control_fixture(tmp_path)
-        md = build_markdown(art)
+        md = markdown_of(art)
         assert "## Remediation decisions" in md
         assert "remediation: nocdn.quarantine on peer-x (executed)" in md
         assert "converged in 2.00s" in md
         assert "1 remediation actions" in md  # cooldown not counted
-        html = build_html(art)
+        html = html_of(art)
         assert "Remediation decisions" in html
         assert "nocdn.quarantine" in html
         assert "converged in 2.00s" in html
@@ -190,12 +198,10 @@ class TestControlSection:
     def test_unconverged_alert_is_flagged(self, tmp_path):
         art = control_fixture(tmp_path)
         art.control = [r for r in art.control if r["event"] == "decision"]
-        md = build_markdown(art)
+        md = markdown_of(art)
         assert "not converged by run end" in md
 
     def test_dashboard_json_control_block(self, tmp_path):
-        from repro.obs.dashboard import dashboard_json
-
         art = control_fixture(tmp_path)
         payload = dashboard_json(art)
         assert payload["control"]["decisions"] == 2
@@ -215,25 +221,51 @@ class TestControlSection:
         assert len(reloaded.control_convergences()) == 1
 
     def test_no_control_log_means_no_section(self, tmp_path):
-        md = build_markdown(fixture_artifacts(tmp_path))
+        md = markdown_of(fixture_artifacts(tmp_path))
         assert "Remediation decisions" not in md
         assert "not converged" not in md
 
 
 class TestHtmlMarkdownParity:
     def test_every_markdown_section_is_in_the_html(self, tmp_path):
-        # Every artifact present, and a ring buffer small enough to drop.
+        # Every artifact present, a ring buffer small enough to drop,
+        # a sampled export, and an alert that carries an exemplar.
         art = control_fixture(tmp_path, capacity=16)
         assert art.trace.dropped and art.trace.dropped_by_kind
-        md, html = build_markdown(art), build_html(art)
-        headings = re.findall(r"^## (.+)$", md, re.M)
-        assert headings == [
+        art.trace.sampling = {
+            "rate": 0.1, "traces_seen": 24, "traces_kept": 3,
+            "spans_kept": 5, "spans_discarded": 40,
+            "kept_by_reason": {"error": 2, "pinned": 1}, "pins_missed": 1}
+        root = art.trace.spans()[0]
+        root.trace_id = root.span_id
+        firing = next(e for e in art.slo_events if e.get("state") == "firing")
+        firing.update(exemplar_trace=root.span_id, exemplar_value=0.25,
+                      exemplar_t=firing["t"])
+
+        doc = run_document(art)
+        assert [s.heading for s in doc.sections if s.heading] == [
             "SLO verdicts", "Burn-rate alerts and correlated faults",
             "Remediation decisions", "Fault timeline", "Key time series",
-            "Span latency (simulated time, top 10)",
-            "Trace hotspots by event label", "Event-loop profile (host CPU)"]
-        for heading in headings:
-            assert f"<h2>{html_mod.escape(heading)}</h2>" in html
+            "Span latency (simulated time)",
+            "Critical path of slowest span: svc.request (0.000 ms)",
+            "Trace hotspots by event label", "Tail sampling",
+            "Event-loop profile (host CPU)"]
+        md, _html, text = assert_in_every_rendering(doc)
+        assert f"WARNING: {art.trace.dropped} spans dropped" in text
         for kind, count in art.trace.dropped_by_kind.items():
-            assert f"{kind}: {count}" in md
-            assert f"{kind}: {count}" in html
+            assert f"{kind}={count}" in text
+        assert "WARNING: 1 exemplar pins missed" in text
+        assert "3/24 traces kept at rate 0.1" in text
+        assert (f"  - exemplar: trace `{root.span_id}`, worst request "
+                f"0.250s at t={firing['t']:.2f}\n    - `t=") in md
+        assert "sim-s covered" in text
+
+
+class TestDashboardJson:
+    def test_fault_times_keep_full_precision(self, tmp_path):
+        art = fixture_artifacts(tmp_path)
+        art.faults = [{"t": 0.123456, "event": "node_crash", "target": "h"},
+                      {"t": 7.000000001, "event": "node_crash", "target": "h"}]
+        assert dashboard_json(art)["faults"] == {"node_crash": {
+            "count": 2, "first_t": 0.123456, "last_t": 7.000000001}}
+        assert "| node_crash | 2 | 0.12 | 7.00 |" in markdown_of(art)

@@ -1,8 +1,15 @@
 """Trace analysis: latency tables, critical path, hotspots, rendering."""
 
+from repro.obs.document import Document, to_text
 from repro.obs.report import (critical_path, hotspots, load_trace,
-                              render_report, slowest_span, span_table)
+                              slowest_span, span_table, trace_sections)
 from repro.sim.engine import Simulator
+from tests.obs.test_document import assert_in_every_rendering
+
+
+def render_text(trace):
+    """What ``scripts/trace_report.py`` prints."""
+    return to_text(Document(sections=trace_sections(trace)))
 
 
 def build_trace(tmp_path, include_profile=False):
@@ -93,16 +100,38 @@ class TestHotspots:
 class TestRender:
     def test_all_sections_present(self, tmp_path):
         trace = build_trace(tmp_path, include_profile=True)
-        report = render_report(trace)
-        assert "== span latency (simulated time) ==" in report
-        assert "== critical path of slowest span: request" in report
-        assert "== hotspots by event label ==" in report
+        report = render_text(trace)
+        assert "== Span latency (simulated time) ==" in report
+        assert "== Critical path of slowest span: request" in report
+        assert "== Trace hotspots by event label ==" in report
         assert "meta:" in report
+
+    def test_every_section_is_in_every_rendering(self, tmp_path):
+        trace = build_trace(tmp_path, include_profile=True)
+        trace.sampling = {"rate": 0.5, "traces_seen": 2, "traces_kept": 1,
+                          "spans_kept": 3, "spans_discarded": 1,
+                          "kept_by_reason": {"slow": 1},
+                          "late_after_grace": 2}
+        doc = Document(sections=trace_sections(trace))
+        assert [s.heading for s in doc.sections] == [
+            "Span latency (simulated time)",
+            "Critical path of slowest span: request (3.00000 s)",
+            "Trace hotspots by event label", "Tail sampling", ""]
+        _md, _html, text = assert_in_every_rendering(doc)
+        assert "[span] request ← slowest" in text
+        assert "1/2 traces kept at rate 0.5 (3 spans kept, 1 discarded)" \
+            "; kept by reason: slow=1" in text
+        assert "WARNING: 0 exemplar pins missed, 2 flagged spans" in text
+
+    def test_spans_only_trace_says_shares_are_counts(self, tmp_path):
+        report = render_text(build_trace(tmp_path))
+        assert "(no wall-clock profile in this trace; shares are " \
+            "event-count shares)" in report
 
     def test_render_empty(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")
         open(path, "w").close()
-        report = render_report(load_trace(path))
+        report = render_text(load_trace(path))
         assert "(no spans recorded)" in report
         assert "(no events recorded)" in report
 
@@ -124,12 +153,16 @@ class TestDroppedSpans:
         assert len(trace.spans()) == 2
 
     def test_render_warns_on_truncation(self, tmp_path):
-        report = render_report(self.build_wrapped(tmp_path))
+        trace = self.build_wrapped(tmp_path)
+        report = render_text(trace)
         assert report.startswith("WARNING: 5 spans dropped")
         assert "truncated" in report
+        assert "evicted by kind: span=5" in report
+        assert "evicted by name: op0=1, op1=1, op2=1, op3=1, op4=1" in report
+        assert_in_every_rendering(Document(sections=trace_sections(trace)))
 
     def test_complete_trace_has_no_warning(self, tmp_path):
-        report = render_report(build_trace(tmp_path))
+        report = render_text(build_trace(tmp_path))
         assert "WARNING" not in report
 
 
