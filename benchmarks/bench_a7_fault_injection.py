@@ -1,7 +1,7 @@
 """A7 (ablation) — graceful degradation under churn.
 
 Runs the chaos world (NoCDN page serving + attic peer backup, see
-``tests/integration/test_chaos.py``) at 0%, 5%, and 20% HPoP churn and
+``repro.workloads.chaos``) at 0%, 5%, and 20% HPoP churn and
 measures what the user actually feels: page-load p99 and the attic's
 time-to-repair. The paper's dependability story (SIV) is that
 home-resident services degrade, not fail — so every load must still

@@ -112,8 +112,7 @@ def _build(num_homes: int):
 
 def _attach_obs(sim, fleet, load):
     """The full collection stack under test."""
-    tracer = sim.enable_tracing(capacity=262_144, trace_events=False,
-                                profile_events=False)
+    tracer = sim.enable_tracing(capacity=262_144, trace_events=False)
     sampler = tracer.enable_tail_sampling(
         rate=SAMPLING_RATE, slow_threshold=SLOW_THRESHOLD, grace=60.0)
     exemplars = ExemplarStore(sim, window=60.0)

@@ -73,7 +73,7 @@ def run_chaos_instrumented(seed: int, out_dir: pathlib.Path,
     if controller:
         paths["control"] = out_dir / "control.jsonl"
         world.controller.export_jsonl(str(paths["control"]))
-    tracer.export_jsonl(str(paths["trace"]), include_profile=True)
+    tracer.export_jsonl(str(paths["trace"]))
     world.tsdb.export_jsonl(str(paths["tsdb"]))
     world.injector.export_jsonl(str(paths["faults"]))
     world.slo_monitor.export_jsonl(str(paths["slo"]))

@@ -3,9 +3,10 @@
 
 Prints three sections: the per-span-name latency table (count / mean /
 p50 / p99 of simulated time), the critical path of the slowest span,
-and the top wall-clock hotspots by event label (event-count shares when
-the trace has no wall-clock profile). A trace truncated by the ring
-buffer is flagged loudly with its dropped-span count.
+and the busiest event labels by fired count. The report is a pure
+function of the trace, so the same seed prints the same bytes. A trace
+truncated by the ring buffer is flagged loudly with its dropped-span
+count.
 
 With ``--json`` the same analysis is emitted as one JSON document so CI
 and ``scripts/dashboard_report.py`` can consume it without screen-

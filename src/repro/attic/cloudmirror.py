@@ -75,9 +75,6 @@ class EncryptedCloudStore:
         self.breached = True
         return list(self._blobs.values())
 
-    def blob_count(self) -> int:
-        return len(self._blobs)
-
 
 @dataclass
 class KeyRelease:

@@ -51,10 +51,6 @@ class DataAtticService(HpopService):
         self.hpop.household.user(username)  # raises for strangers
         return f"/{username}"
 
-    def http_path(self, dav_path: str) -> str:
-        """The externally visible URL path for a DAV-internal path."""
-        return f"{ATTIC_MOUNT}{dav_path}"
-
     # -- provider grants ------------------------------------------------------------
 
     def issue_grant(

@@ -406,23 +406,3 @@ class DetourManager:
 
     def candidate_waypoints(self) -> List[WaypointService]:
         return self.collective.available_waypoints(exclude=self.client)
-
-
-def default_slos(source: str = ""):
-    """DCol objectives over a scraped :class:`DetourManager`."""
-    from repro.obs.slo import RatioSli, SloSpec, ThresholdSli
-
-    prefix = f"{source}/" if source else ""
-    return [
-        SloSpec(
-            name="dcol-detour-stability", service="dcol", objective=0.9,
-            sli=RatioSli(total=(f"{prefix}dcol.transfer_seconds_count",),
-                         bad=(f"{prefix}dcol.waypoint_failovers",
-                              f"{prefix}dcol.direct_failovers")),
-            description="Transfers that finish without losing a path"),
-        SloSpec(
-            name="dcol-transfer-latency", service="dcol", objective=0.9,
-            sli=ThresholdSli(f"{prefix}dcol.transfer_seconds_p99",
-                             max_value=60.0),
-            description="Detour transfer p99 under a minute"),
-    ]

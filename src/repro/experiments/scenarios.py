@@ -76,8 +76,7 @@ def run_chaos_cell(seed: int, params: Mapping[str, Any],
     world.slo_monitor.export_jsonl(str(out_dir / "slo.jsonl"))
     world.injector.export_jsonl(str(out_dir / "faults.jsonl"))
     if tracer is not None:
-        tracer.export_jsonl(str(out_dir / "trace.jsonl"),
-                            include_profile=profiler is not None)
+        tracer.export_jsonl(str(out_dir / "trace.jsonl"))
     if profiler is not None:
         (out_dir / "profile.json").write_text(
             json.dumps(profiler.to_dict(), indent=2, sort_keys=True),

@@ -478,22 +478,3 @@ class CoopGroup:
                 f"{member.hpop.name}|{site}|{object_name}".encode()).hexdigest()
 
         return max(candidates, key=weight)
-
-
-def default_slos(source: str = ""):
-    """Internet@home objectives over a scraped service registry."""
-    from repro.obs.slo import RatioSli, SloSpec, ThresholdSli
-
-    prefix = f"{source}/" if source else ""
-    return [
-        SloSpec(
-            name="iah-freshness", service="iah", objective=0.95,
-            sli=RatioSli(total=(f"{prefix}iah.objects_served",),
-                         bad=(f"{prefix}iah.degraded_serves",)),
-            description="Device requests served fresh (not stale-marked)"),
-        SloSpec(
-            name="iah-serve-age", service="iah", objective=0.9,
-            sli=ThresholdSli(f"{prefix}iah.serve_age_seconds_p99",
-                             max_value=120.0),
-            description="Prefetched-entry age p99 at serve time under 2 min"),
-    ]

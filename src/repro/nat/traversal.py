@@ -142,9 +142,6 @@ class ReachabilityManager:
     def chain_for(self, host: Host) -> NatChain:
         return self._chains.get(host.name, NatChain())
 
-    def report_for(self, host: Host) -> Optional[ReachabilityReport]:
-        return self._reports.get(host.name)
-
     # -- the ladder -----------------------------------------------------------
 
     def establish(self, host: Host, service_port: int,

@@ -279,9 +279,6 @@ class Network:
         self._path_hops.observe(float(path.hop_count))
         return path
 
-    def path_to(self, source: Node, dest_address: Address) -> Path:
-        return self.path_between(source, self.node_for(dest_address))
-
     def reachable(self, source: Node, dest: Node) -> bool:
         try:
             self.path_between(source, dest)

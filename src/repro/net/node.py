@@ -96,16 +96,12 @@ class Host(Node):
     managed by :mod:`repro.transport`, which uses :meth:`bind_stream`.
     """
 
-    EPHEMERAL_BASE = 49152
-
-    __slots__ = ("_datagram_handlers", "_stream_listeners",
-                 "_next_ephemeral", "nat_device")
+    __slots__ = ("_datagram_handlers", "_stream_listeners", "nat_device")
 
     def __init__(self, name: str, network: "Network") -> None:
         super().__init__(name, network)
         self._datagram_handlers: Dict[int, DatagramHandler] = {}
         self._stream_listeners: Dict[int, object] = {}
-        self._next_ephemeral = Host.EPHEMERAL_BASE
         # Marks hosts inside a home behind this NAT, set by topology builders.
         self.nat_device = None
 
@@ -115,9 +111,6 @@ class Host(Node):
         if port in self._datagram_handlers:
             raise ValueError(f"port {port} already bound on {self.name}")
         self._datagram_handlers[port] = handler
-
-    def unbind_datagram(self, port: int) -> None:
-        self._datagram_handlers.pop(port, None)
 
     def deliver_datagram(self, source: Address, source_port: int,
                          dest_port: int, payload: object) -> bool:
@@ -144,9 +137,3 @@ class Host(Node):
         if not self._powered:
             return None
         return self._stream_listeners.get(port)
-
-    def allocate_ephemeral_port(self) -> int:
-        """A fresh client-side port number."""
-        port = self._next_ephemeral
-        self._next_ephemeral += 1
-        return port

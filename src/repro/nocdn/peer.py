@@ -329,6 +329,3 @@ class NoCdnPeerService(HpopService):
     def flush_usage(self) -> None:
         """Immediate upload (tests and experiment drivers)."""
         self._upload_all()
-
-    def cache_stats(self, site_name: str):
-        return self.signup_for(site_name).cache.stats

@@ -82,8 +82,8 @@ class HashRing:
     ``owner(key, live)`` returns the first ring successor of the key's
     hash whose peer is in ``live`` — so membership changes (join,
     leave, quarantine) only move the keyspace arcs that touched the
-    changed peer, never a full reshuffle. ``arc_share`` exposes the
-    exact fraction of keyspace a peer owns, which the property tests
+    changed peer, never a full reshuffle. ``arc_shares`` exposes the
+    exact fraction of keyspace each peer owns, which the property tests
     use to pin the <= 2/n remapping bound.
 
     ``add_peer``/``remove_peer`` are O(1): they only record the change.
@@ -183,11 +183,6 @@ class HashRing:
                 return candidate
         return None
 
-    def arc_share(self, peer_id: str, live: Iterable[str]) -> float:
-        """Exact fraction of the keyspace ``peer_id`` owns among ``live``."""
-        shares = self.arc_shares(live)
-        return shares.get(peer_id, 0.0)
-
     def arc_shares(self, live: Iterable[str]) -> Dict[str, float]:
         """Keyspace fraction owned by each live peer (sums to 1.0)."""
         self._apply_pending()
@@ -235,10 +230,6 @@ class CacheStrategy:
         self.ring.remove_peer(peer_id)
 
     # -- placement ------------------------------------------------------
-
-    def home_peer(self, key: str, live: AbstractSet[str]) -> Optional[str]:
-        """The peer that should durably cache ``key``, if sharded."""
-        return None
 
     def should_cache(self, peer_id: str, key: str,
                      live: AbstractSet[str]) -> bool:
@@ -291,9 +282,6 @@ class ShardedStrategy(CacheStrategy):
 
     name = "sharded"
 
-    def home_peer(self, key, live):
-        return self.ring.owner(key, live)
-
     def should_cache(self, peer_id, key, live):
         return self.ring.owner(key, live) == peer_id
 
@@ -331,14 +319,6 @@ class ReplicateHotStrategy(CacheStrategy):
             ranked = sorted(self._counts.items(),
                             key=lambda kv: (-kv[1], kv[0]))
             self._hot = {k for k, _ in ranked[: self.hot_k]}
-
-    def is_hot(self, key: str) -> bool:
-        return key in self._hot
-
-    def home_peer(self, key, live):
-        if key in self._hot:
-            return None
-        return self.ring.owner(key, live)
 
     def should_cache(self, peer_id, key, live):
         if key in self._hot:

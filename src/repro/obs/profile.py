@@ -10,8 +10,8 @@ exports the standard collapsed-stack format that flamegraph tooling
 (``flamegraph.pl``, speedscope, inferno) consumes directly.
 
 Profiles are wall-clock measurements and therefore *not* run-to-run
-deterministic; they are kept out of every byte-identity contract the
-way the tracer's ``include_profile`` records are.
+deterministic; ``profile.json`` / ``profile.collapsed`` are the only
+run artifacts outside the byte-identity contract.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Consumes the JSONL produced by :meth:`repro.obs.trace.Tracer.
 export_jsonl` and answers the questions the HPoP services are argued
 in terms of: where did a request's simulated time go, what is the p99
-of each operation, and which event labels burn the host's wall clock.
+of each operation, and which event labels fire most. Everything here
+is a pure function of the trace, hence of the seed; which labels burn
+the *host's* clock is :mod:`repro.obs.profile`'s question.
 ``scripts/trace_report.py`` is the thin CLI over this module.
 """
 
@@ -39,13 +41,9 @@ class TraceRecord:
 
 @dataclass
 class Trace:
-    """A fully loaded trace: records plus optional wall-clock profile."""
+    """A fully loaded trace: records plus what the export says it lost."""
 
     records: List[TraceRecord] = field(default_factory=list)
-    # label -> (fired count, wall seconds); empty unless the export
-    # included profile records.
-    profile: Dict[str, Tuple[int, float]] = field(default_factory=dict)
-    meta: Dict[str, Any] = field(default_factory=dict)
     # Spans lost to ring-buffer wrap before export (0 = complete trace).
     dropped: int = 0
     # Per-kind / per-name breakdown of what the ring evicted (empty on
@@ -71,15 +69,8 @@ def load_trace(path: str) -> Trace:
     trace = Trace()
     for raw in iter_jsonl(path):
         kind = raw.get("kind")
-        if kind == "profile":
-            trace.profile[raw["label"]] = (int(raw["count"]),
-                                           float(raw["wall_s"]))
-        elif kind == "meta":
-            trace.meta = raw
-            trace.dropped = max(trace.dropped, int(raw.get("dropped", 0)))
-        elif kind == "dropped":
-            trace.dropped = max(trace.dropped,
-                                int(raw.get("spans_dropped", 0)))
+        if kind == "dropped":
+            trace.dropped = int(raw.get("spans_dropped", 0))
             trace.dropped_by_kind = dict(raw.get("by_kind") or {})
             trace.dropped_by_name = dict(raw.get("by_name") or {})
         elif kind == "sampling":
@@ -190,25 +181,13 @@ def exemplar_path(trace: Trace, trace_id: int) -> List[TraceRecord]:
 # -- hotspots --------------------------------------------------------------
 
 
-def hotspots(trace: Trace, top: int = 10
-             ) -> List[Tuple[str, int, float, float]]:
-    """(label, count, wall seconds, share) for the hottest event labels.
-
-    Uses exported wall-clock profile records when present; otherwise
-    falls back to event-mark counts (with zero wall time), so the
-    section still identifies the busiest labels on spans-only traces.
-    """
-    if trace.profile:
-        total = sum(wall for _count, wall in trace.profile.values()) or 1.0
-        rows = [(label, count, wall, wall / total)
-                for label, (count, wall) in trace.profile.items()]
-        rows.sort(key=lambda row: -row[2])
-        return rows[:top]
+def hotspots(trace: Trace, top: int = 10) -> List[Tuple[str, int, float]]:
+    """(label, count, share of all event marks) for the busiest labels."""
     counts: Dict[str, int] = {}
     for record in trace.events():
         counts[record.name] = counts.get(record.name, 0) + 1
     total_count = sum(counts.values()) or 1
-    rows = [(label, count, 0.0, count / total_count)
+    rows = [(label, count, count / total_count)
             for label, count in counts.items()]
     rows.sort(key=lambda row: (-row[1], row[0]))
     return rows[:top]
@@ -272,18 +251,10 @@ def trace_sections(trace: Trace, top: int = 10) -> List[Section]:
                 for record in critical_path(trace, target)])]))
 
     hot = hotspots(trace, top=top)
-    blocks = ["(no events recorded)"]
-    if hot:
-        wall_based = bool(trace.profile)
-        blocks = [Table(
-            ("label", "count", "wall", "share"),
-            [(label, str(count),
-              f"{wall * 1e3:.2f} ms" if wall_based else "-", f"{share:.1%}")
-             for label, count, wall, share in hot])]
-        if not wall_based:
-            blocks.append("(no wall-clock profile in this trace; "
-                          "shares are event-count shares)")
-    sections.append(Section("Trace hotspots by event label", blocks))
+    sections.append(Section("Trace hotspots by event label", [Table(
+        ("label", "count", "share"),
+        [(label, str(count), f"{share:.1%}") for label, count, share in hot])
+        if hot else "(no events recorded)"]))
 
     if trace.sampling:
         s = trace.sampling
@@ -301,13 +272,6 @@ def trace_sections(trace: Trace, top: int = 10) -> List[Section]:
                 f"after the limbo grace window — raise the sampler's "
                 f"grace so kept traces cannot be lost"))
         sections.append(Section("Tail sampling", blocks))
-
-    if trace.meta:
-        sections.append(Section("", [
-            f"meta: {trace.meta.get('events', 0)} events fired, "
-            f"{trace.meta.get('wall_s', 0.0) * 1e3:.1f} ms callback wall "
-            f"clock, {trace.meta.get('events_per_s', 0.0):,.0f} events/s, "
-            f"{trace.meta.get('dropped', 0)} records dropped"]))
     return sections
 
 
@@ -318,6 +282,9 @@ def report_json(trace: Trace, top: int = 10) -> Dict[str, Any]:
     so the schema is part of the tooling contract: ``span_table`` rows
     mirror the text table, ``critical_path`` is root-first, and
     ``dropped`` is always present so truncation is machine-visible.
+    ``hotspots`` rows are event counts and their share (no ``wall_s``)
+    and there is no top-level ``meta`` key: host time is not a fact of
+    the trace.
     """
     target = slowest_span(trace)
     return {
@@ -336,7 +303,6 @@ def report_json(trace: Trace, top: int = 10) -> Dict[str, Any]:
              "duration_s": r.duration, "attrs": r.attrs}
             for r in (critical_path(trace, target) if target else [])],
         "hotspots": [
-            {"label": label, "count": count, "wall_s": wall, "share": share}
-            for label, count, wall, share in hotspots(trace, top=top)],
-        "meta": trace.meta,
+            {"label": label, "count": count, "share": share}
+            for label, count, share in hotspots(trace, top=top)],
     }

@@ -19,16 +19,15 @@ Design notes
   the request that caused it.
 - **Determinism.** Span ids come from a monotonic counter and all
   recorded fields are simulated-time values, so two traced runs from the
-  same seed export byte-identical JSONL. Wall-clock profiling (per-label
-  callback time, for finding *host* hotspots) is kept out of the default
-  export and only written with ``include_profile=True``.
+  same seed export byte-identical JSONL. The tracer reads no host
+  clock: per-label *host* time is :class:`repro.obs.profile.
+  LoopProfiler`'s job (``Simulator.enable_profiling`` → ``profile.json``).
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional
 
 _UNSET = object()
@@ -156,9 +155,6 @@ class NullTracer:
     def activate(self, span: Any) -> _NullContext:
         return _NULL_CTX
 
-    def current_trace_id(self) -> Optional[int]:
-        return None
-
     def spans(self) -> List[Span]:
         return []
 
@@ -206,19 +202,16 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock: Any, capacity: int = 65536,
-                 trace_events: bool = True,
-                 profile_events: bool = True) -> None:
+                 trace_events: bool = True) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._clock = clock
         self.capacity = capacity
-        self.trace_events = trace_events
-        self.profile_events = profile_events
-        # With both per-event marks and wall profiling off, the engine
-        # skips begin_event/end_event entirely and just swaps
-        # ``current`` around each callback — the fleet-bench "lite"
-        # hook, a couple of attribute stores per event.
-        self.lite = not trace_events and not profile_events
+        # Without per-event marks the engine skips begin_event/
+        # end_event entirely and just swaps ``current`` around each
+        # callback — the fleet-bench "lite" hook, a couple of
+        # attribute stores per event.
+        self.lite = not trace_events
         self._records: deque = deque(maxlen=capacity)
         self._next_id = 1
         self.current: Optional[Span] = None
@@ -238,11 +231,7 @@ class Tracer:
         # enable_tail_sampling() (and settable directly for exemplars
         # without sampling).
         self.export_trace_ids = False
-        # Wall-clock profiling: label -> [fired count, wall seconds].
-        self.profile: Dict[str, List[float]] = {}
         self.events_traced = 0
-        self.wall_seconds = 0.0
-        self._t0 = 0.0
 
     # -- span API ---------------------------------------------------------
 
@@ -285,41 +274,28 @@ class Tracer:
         """Make an *open* span current for a scope without finishing it."""
         return _SpanContext(self, span, finish=False)
 
-    def current_trace_id(self) -> Optional[int]:
-        """Trace id of the current context, or ``None`` outside any trace."""
-        cur = self.current
-        return cur.trace_id if cur is not None else None
-
     # -- engine integration ------------------------------------------------
 
     def begin_event(self, event: Any) -> None:
-        """Called by the engine just before an event's callback runs."""
+        """Called by the engine just before an event's callback runs.
+
+        Full dispatch only (lite never gets here): records the event's
+        instant mark and makes it the current context.
+        """
         ctx = event.ctx
-        if self.trace_events:
-            now = self._clock.now
-            mark = Span(self, self._next_id,
-                        ctx.span_id if ctx is not None else None,
-                        event.label, now, {}, kind="event",
-                        trace_id=ctx.trace_id if ctx is not None else None)
-            self._next_id += 1
-            mark.end = now
-            self._record(mark)
-            self.current = mark
-        else:
-            self.current = ctx
-        self._t0 = perf_counter()
+        now = self._clock.now
+        mark = Span(self, self._next_id,
+                    ctx.span_id if ctx is not None else None,
+                    event.label, now, {}, kind="event",
+                    trace_id=ctx.trace_id if ctx is not None else None)
+        self._next_id += 1
+        mark.end = now
+        self._record(mark)
+        self.current = mark
 
     def end_event(self, event: Any) -> None:
         """Called by the engine after the callback returns (or raises)."""
-        wall = perf_counter() - self._t0
         self.current = None
-        if self.profile_events:
-            prof = self.profile.get(event.label)
-            if prof is None:
-                self.profile[event.label] = prof = [0, 0.0]
-            prof[0] += 1
-            prof[1] += wall
-            self.wall_seconds += wall
         self.events_traced += 1
 
     # -- storage / export ----------------------------------------------------
@@ -368,21 +344,12 @@ class Tracer:
         self.export_trace_ids = True
         return self.sampler
 
-    @property
-    def events_per_second(self) -> float:
-        """Events fired per wall-clock second of traced callback time."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_traced / self.wall_seconds
-
-    def export_jsonl(self, path: str, include_profile: bool = False) -> int:
+    def export_jsonl(self, path: str) -> int:
         """Write the trace as JSON Lines; returns the record count.
 
-        The default export contains only simulated-time records, so two
-        runs from the same seed produce byte-identical files. With
-        ``include_profile=True``, per-label wall-clock profile records
-        and a trailing ``meta`` record are appended — useful for hotspot
-        reports, at the cost of run-to-run byte stability.
+        Every record (``span``, ``event``, ``dropped``, ``sampling``)
+        holds simulated-time values and sim-side counts only, so two
+        runs from the same seed produce byte-identical files.
         """
         if self.sampler is not None:
             # Decide every in-flight trace so nothing is silently
@@ -410,23 +377,6 @@ class Tracer:
             if self.sampler is not None:
                 fh.write(json.dumps(self.sampler.stats_record(),
                                     sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-                written += 1
-            if include_profile:
-                for label in sorted(self.profile):
-                    count, wall = self.profile[label]
-                    fh.write(json.dumps(
-                        {"kind": "profile", "label": label,
-                         "count": int(count), "wall_s": wall},
-                        sort_keys=True, separators=(",", ":")))
-                    fh.write("\n")
-                    written += 1
-                fh.write(json.dumps(
-                    {"kind": "meta", "events": self.events_traced,
-                     "wall_s": self.wall_seconds,
-                     "events_per_s": self.events_per_second,
-                     "dropped": self.spans_dropped},
-                    sort_keys=True, separators=(",", ":")))
                 fh.write("\n")
                 written += 1
         return written

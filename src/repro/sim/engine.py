@@ -191,10 +191,10 @@ class Simulator:
         self._dispatch = dispatch
 
     def _dispatch_lite(self, event: Event) -> None:
-        # No event marks, no wall profile: context propagation is just
-        # swapping `current` around the callback. Most fleet events
-        # carry no trace context at all, and `current` is always None
-        # between events, so those need no store either.
+        # No event marks: context propagation is just swapping
+        # `current` around the callback. Most fleet events carry no
+        # trace context at all, and `current` is always None between
+        # events, so those need no store either.
         tracer = self.tracer
         tracer.events_traced += 1
         ctx = event.ctx
@@ -310,25 +310,24 @@ class Simulator:
 
     # -- tracing ---------------------------------------------------------
 
+    # profile_events: ignored; frozen benchmarks/platform passes it (ROADMAP 4)
     def enable_tracing(self, capacity: int = 65536,
                        trace_events: bool = True,
-                       profile_events: bool = True) -> Tracer:
+                       profile_events: bool = False) -> Tracer:
         """Attach a recording :class:`~repro.obs.trace.Tracer`.
 
         Spans started via ``sim.tracer`` from here on are recorded into
         a ring buffer of ``capacity`` records; each fired event also
-        leaves an instant mark when ``trace_events`` is true, and
-        accrues into the per-label wall-clock profile when
-        ``profile_events`` is true. With both off the engine runs the
-        lite hook (context propagation only — the fleet-scale
-        configuration). Returns the tracer (also available as
-        :attr:`tracer`). Idempotent: a second call keeps the existing
-        recording tracer.
+        leaves an instant mark when ``trace_events`` is true. With it
+        off the engine runs the lite hook (context propagation only —
+        the fleet-scale configuration). The tracer records simulated
+        time only; host time per label is :meth:`enable_profiling`.
+        Returns the tracer (also available as :attr:`tracer`).
+        Idempotent: a second call keeps the existing recording tracer.
         """
         if not self.tracer.enabled:
             self.tracer = Tracer(self, capacity=capacity,
-                                 trace_events=trace_events,
-                                 profile_events=profile_events)
+                                 trace_events=trace_events)
         self._select_dispatch()
         return self.tracer
 

@@ -9,7 +9,6 @@ from repro.workloads.fleet import (
     BackgroundAggregate,
     Fleet,
     FleetSpec,
-    PerHomeBackground,
     build_fleet,
 )
 from repro.workloads.traffic import (
@@ -33,7 +32,6 @@ __all__ = [
     "BackgroundAggregate",
     "Fleet",
     "FleetSpec",
-    "PerHomeBackground",
     "build_fleet",
     "HouseholdProfile",
     "HouseholdTrafficModel",

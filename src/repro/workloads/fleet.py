@@ -16,9 +16,8 @@ The aggregation is distributionally exact for the model it replaces: if
 each idle home contributes an exponentially distributed byte count per
 tick (mean from :meth:`~repro.workloads.traffic.HouseholdProfile.
 mean_rates`), the cohort total is Gamma(n, mean) — one RNG draw and one
-``carry_span`` instead of ``n`` heap events per tick.
-:class:`PerHomeBackground` keeps the naive per-home mode alive for
-equivalence tests and the scale benchmark's before/after comparison.
+``carry_span`` instead of ``n`` heap events per tick
+(``tests/workloads/test_fleet.py`` holds the draws to those moments).
 """
 
 from __future__ import annotations
@@ -150,61 +149,6 @@ class BackgroundAggregate:
             self._down_counter.inc(down_bytes)
             self._up_counter.inc(up_bytes)
         self._last = now
-
-
-class PerHomeBackground:
-    """The naive baseline: one weak periodic event per idle home.
-
-    Distributionally equivalent to :class:`BackgroundAggregate` (each
-    home draws exponential per-tick byte counts against the same means)
-    but costs ``n`` heap events per tick. Exists so the scale benchmark
-    and the equivalence test can compare the two regimes.
-    """
-
-    __slots__ = ("sim", "uplink", "num_homes", "tick", "_mean_down_bps",
-                 "_mean_up_bps", "_stream", "_processes", "_lasts")
-
-    def __init__(self, sim: Simulator, uplink: Link, num_homes: int,
-                 profile: HouseholdProfile, tick: float, stream: str) -> None:
-        if num_homes <= 0:
-            raise ValueError(f"num_homes must be positive: {num_homes}")
-        self.sim = sim
-        self.uplink = uplink
-        self.num_homes = num_homes
-        self.tick = tick
-        self._mean_down_bps, self._mean_up_bps = profile.mean_rates()
-        self._stream = stream
-        self._processes: List[Process] = []
-        self._lasts: List[float] = []
-
-    def start(self) -> "PerHomeBackground":
-        for i in range(self.num_homes):
-            process = Process(self.sim, f"{self._stream}.h{i}")
-            self._processes.append(process)
-            self._lasts.append(self.sim.now)
-            process.every(self.tick, self._make_tick(i),
-                          label=f"{self._stream}.h{i}",
-                          jitter_stream=f"{self._stream}.jitter")
-        return self
-
-    def stop(self) -> None:
-        for process in self._processes:
-            process.stop()
-
-    def _make_tick(self, index: int):
-        def tick() -> None:
-            now = self.sim.now
-            last = self._lasts[index]
-            span = now - last
-            if span <= 0:
-                return
-            rng = self.sim.rng.stream(self._stream)
-            down = rng.expovariate(8 / (self._mean_down_bps * span))
-            up = rng.expovariate(8 / (self._mean_up_bps * span))
-            self.uplink.reverse.carry_span(last, now, down)
-            self.uplink.forward.carry_span(last, now, up)
-            self._lasts[index] = now
-        return tick
 
 
 class HomeMetricsPool:

@@ -84,13 +84,14 @@ class TestBackup:
 
 
 class TestRestore:
-    def backed_up_world(self):
+    def backed_up_world(self, paths=("/u0/docs/tax.pdf",)):
         sim, city, owner, services = build()
-        put_file(owner, "/u0/docs/tax.pdf", kib(120))
         done = []
-        owner.backup_file("/u0/docs/tax.pdf", done.append)
+        for path in paths:
+            put_file(owner, path, kib(120))
+            owner.backup_file(path, done.append)
         sim.run()
-        assert done == [True]
+        assert done == [True] * len(paths)
         return sim, city, owner, services
 
     def test_restore_after_local_deletion(self):
@@ -127,13 +128,14 @@ class TestRestore:
         sim.run()
         assert restored == [False]
 
-    def restore_onto_replacement(self, unknown=()):
-        """The whole-home-loss scenario: a new HPoP gets the data back.
+    def replacement_appliance(self, world, unknown=()):
+        """The whole-home-loss scenario: a new HPoP with the old
+        manifest and friends; returns its backup service and attic.
 
         ``unknown`` indexes the manifest's holder list: those holders
         are not re-friended by the replacement appliance.
         """
-        sim, city, owner, services = self.backed_up_world()
+        _sim, city, owner, services = world
         owner.hpop.shutdown()  # the house burned down
         # A replacement appliance in a new home, same friends.
         home = city.neighborhoods[0].homes[len(services)]
@@ -149,6 +151,12 @@ class TestRestore:
                 replacement.add_friend(friend)
         # The manifest survives (e.g. printed QR / cloud-noted); copy it.
         replacement.manifest = dict(owner.manifest)
+        return replacement, new_attic
+
+    def restore_onto_replacement(self, unknown=()):
+        world = self.backed_up_world()
+        sim = world[0]
+        replacement, new_attic = self.replacement_appliance(world, unknown)
         restored = []
         replacement.restore_file("/u0/docs/tax.pdf", restored.append,
                                  target_attic=new_attic)
@@ -172,6 +180,37 @@ class TestRestore:
         restored, new_attic = self.restore_onto_replacement([0, 2, 4])
         assert restored == [False]  # 2 reachable < k=3, reported once
         assert not new_attic.dav.tree.exists("/u0/docs/tax.pdf")
+
+    def test_restore_all_onto_replacement_with_k_of_n_holders_up(self):
+        """Replace the appliance: every file in the manifest comes back
+        onto the fresh HPoP's attic with m of its n holders dead."""
+        paths = ("/u0/docs/tax.pdf", "/u0/photos/2019.tar", "/u0/notes")
+        world = self.backed_up_world(paths)
+        sim, _city, _owner, services = world
+        replacement, new_attic = self.replacement_appliance(world)
+        for dead in services[1:3]:  # m=2: every file keeps >= k holders
+            dead.hpop.shutdown()
+        reports = []
+        replacement.restore_all(lambda ok, total: reports.append((ok, total)),
+                                target_attic=new_attic)
+        sim.run()
+        assert reports == [(3, 3)]
+        for path in paths:
+            assert new_attic.dav.tree.lookup(path).content.size == kib(120)
+
+        # A third dead friend takes some file below k: counted, not lost.
+        services[3].hpop.shutdown()
+        replacement.restore_all(lambda ok, total: reports.append((ok, total)),
+                                target_attic=new_attic)
+        sim.run()
+        assert reports[1][1] == 3 and reports[1][0] < 3
+
+    def test_restore_all_empty_manifest(self):
+        sim, _city, owner, _services = build()
+        reports = []
+        owner.restore_all(lambda ok, total: reports.append((ok, total)))
+        sim.run()
+        assert reports == [(0, 0)]
 
     def test_restore_unknown_path(self):
         sim, _city, owner, _services = build()

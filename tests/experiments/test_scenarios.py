@@ -1,6 +1,9 @@
 """The built-in study scenarios (``chaos``, ``fleet``, ``nocdn_fleet``)
 run as cells: facts, artifacts and same-seed byte identity."""
 
+import pathlib
+import runpy
+
 import pytest
 
 from repro.experiments.scenarios import (
@@ -11,6 +14,7 @@ from repro.experiments.scenarios import (
     run_nocdn_fleet_cell,
 )
 
+REPO = pathlib.Path(__file__).resolve().parents[2]
 NOCDN_SEED = 7
 NOCDN_PARAMS = {"fleet": 100, "zipf": 0.9, "loads": 80}
 STRATEGIES = ("naive", "sharded", "replicate-hot")
@@ -97,6 +101,33 @@ class TestChaosCell:
             == ["control.jsonl", "faults.jsonl", "profile.json",
                 "slo.jsonl", "trace.jsonl", "tsdb.jsonl"]
         assert all(p.stat().st_size for p in tmp_path.iterdir())
+
+    @pytest.fixture(scope="class")
+    def profiled_twice(self, tmp_path_factory):
+        """The default cell (tracer + loop profiler) run twice."""
+        dirs = [tmp_path_factory.mktemp(f"profiled-{tag}") for tag in "ab"]
+        for out in dirs:
+            run_chaos_cell(101, {}, out)
+        return dirs
+
+    def test_profiled_cell_trace_is_byte_identical(self, profiled_twice):
+        """Host time lives in profile.json alone: attaching the
+        profiler leaves trace.jsonl a function of the seed."""
+        a, b = profiled_twice
+        blob = (a / "trace.jsonl").read_bytes()
+        assert blob and blob == (b / "trace.jsonl").read_bytes()
+        assert (a / "profile.json").stat().st_size
+
+    def test_trace_report_text_is_byte_identical(self, profiled_twice,
+                                                 capsys):
+        script = REPO / "scripts" / "trace_report.py"
+        main = runpy.run_path(str(script))["main"]
+        texts = []
+        for out in profiled_twice:
+            assert main([str(out / "trace.jsonl")]) == 0
+            texts.append(capsys.readouterr().out)
+        assert "== Trace hotspots by event label ==" in texts[0]
+        assert texts[0] == texts[1]
 
 
 class TestFleetCell:

@@ -1,13 +1,20 @@
 """Guards on the tooling itself: nothing ``Makefile`` or
 ``scripts/check.sh`` names may be missing and ``make check`` stays
-pytest only; ``src/`` grows no literal clones; report markup is written
-in one module; ``bench_regress.py --run`` isolates each bench; every
-method the platform benchmark patches is defined where it looks for it."""
+pytest only; ``src/`` grows no literal clones and no function nothing
+names; report markup is written in one module; the host clock is read
+in four files; ``bench_regress.py`` gates facts by equality and
+``--run`` isolates each bench; every method the platform benchmark
+patches is defined where it looks for it."""
 
+import ast
+import functools
 import importlib.util
+import json
 import os
 import pathlib
 import re
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 MAKEFILE = (REPO / "Makefile").read_text(encoding="utf-8")
@@ -100,6 +107,110 @@ def test_no_file_pair_shares_more_clone_windows_than_the_ratchet():
     assert not over, f"literal clones above the ratchet: {over}"
 
 
+# -- functions nothing refers to ---------------------------------------------
+
+CODE_ROOTS = ("src", "tests", "scripts", "benchmarks", "examples")
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+
+
+@functools.lru_cache(maxsize=None)
+def _root_trees(root):
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted((REPO / root).rglob("*.py"))]
+
+
+def _trees(*roots):
+    """(path, parsed module) of every ``*.py`` under ``roots``."""
+    for root in roots:
+        yield from _root_trees(root)
+
+
+def unreferenced_functions():
+    """``src/`` function definitions whose name nothing mentions.
+
+    A mention is a Name, an attribute access, an imported name or an
+    identifier-shaped string anywhere in ``CODE_ROOTS``; a
+    ``getattr(obj, f"_do_{verb}")`` counts for every name its constant
+    parts fit. Static, so a name shared with a live function hides a
+    dead one — the call-profile pass in ROADMAP item 7(a) is the finer
+    sieve; this one is the ratchet that runs everywhere.
+    """
+    names, patterns = set(), []
+    for _path, tree in _trees(*CODE_ROOTS):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant):
+                if isinstance(node.value, str) \
+                        and _IDENTIFIER.match(node.value):
+                    names.add(node.value)
+            elif (isinstance(node, ast.Call) and len(node.args) >= 2
+                  and getattr(node.func, "id", "") == "getattr"
+                  and isinstance(node.args[1], ast.JoinedStr)):
+                patterns.append(re.compile("".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant)
+                    else r"\w+" for part in node.args[1].values) + r"\Z"))
+    return sorted(
+        f"{path.relative_to(REPO)}:{node.lineno} {node.name}"
+        for path, tree in _trees("src") for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in names
+        and not any(pattern.match(node.name) for pattern in patterns))
+
+
+def test_every_src_function_is_referred_to_somewhere():
+    # 16 before PR 22. Delete the function or give it the test it was
+    # missing; do not mention its name in a string to get past this.
+    assert unreferenced_functions() == []
+
+
+# -- the determinism boundary ------------------------------------------------
+
+HOST_CLOCK = re.compile(
+    r"perf_counter|process_time|getrusage|time\.time\(|monotonic\(")
+# DESIGN "Determinism boundary": the profiled dispatch, the study
+# runner's manifest/journal wall_s, and the two host-time benches.
+HOST_CLOCK_READERS = {
+    "src/repro/sim/engine.py",
+    "src/repro/experiments/runner.py",
+    "scripts/bench_obs.py",
+    "benchmarks/bench_a6_erasure_throughput.py",
+}
+
+
+def _program_files():
+    for pattern in ("src/**/*.py", "scripts/*.py", "benchmarks/bench_*.py",
+                    "examples/*.py"):
+        yield from sorted(REPO.glob(pattern))
+
+
+def test_host_clock_is_read_in_four_named_files():
+    readers = {str(path.relative_to(REPO)) for path in _program_files()
+               if HOST_CLOCK.search(path.read_text(encoding="utf-8"))}
+    assert readers == HOST_CLOCK_READERS
+
+
+def test_only_the_frozen_benchmark_still_passes_profile_events():
+    # Simulator.enable_tracing ignores it; the parameter goes when
+    # benchmarks/platform/scenarios.py stops passing it (ROADMAP item 4).
+    # A dict key counts: ``enable_tracing(**LITE)`` is how tests passed it.
+    passing = {
+        str(path.relative_to(REPO))
+        for path, tree in _trees(*CODE_ROOTS) for node in ast.walk(tree)
+        if (isinstance(node, ast.Call)
+            and getattr(node.func, "attr", "") == "enable_tracing"
+            and any(kw.arg == "profile_events" for kw in node.keywords))
+        or (isinstance(node, ast.Dict) and any(
+            isinstance(key, ast.Constant) and key.value == "profile_events"
+            for key in node.keys))}
+    assert passing == {"benchmarks/platform/scenarios.py"}
+
+
 # -- report markup lives in one module ---------------------------------------
 
 MARKUP_LITERALS = ("<h2>", "<table>", "## ", "|---", ".ljust(")
@@ -115,16 +226,86 @@ def test_report_markup_is_written_only_in_the_document_module():
     assert found == {("document.py", literal) for literal in MARKUP_LITERALS}
 
 
-# -- bench_regress.py --run ---------------------------------------------------
+# -- bench_regress.py ---------------------------------------------------------
+
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench_regress():
+    return load_module(REPO / "scripts" / "bench_regress.py")
+
+
+def test_fact_files_are_committed_equal_to_their_baselines(bench_regress):
+    baselines = sorted(bench_regress.BASELINE_DIR.glob("BENCH_*.json"))
+    assert {path.name for path in baselines} == set(
+        bench_regress.BENCH_MODULES)
+    facts = [path for path in baselines
+             if path.name not in bench_regress.HOST_TIME]
+    assert len(facts) == 3
+    for path in facts:
+        assert (REPO / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+BASELINE_STUB = {"cells": {"a": {"loads_ok": 40, "errors": 0.0},
+                           "b": {"loads_ok": 41, "errors": 0.0}},
+                 "host": {"wall_s": 2.0, "mb_per_s": 100.0, "reps": 5}}
+
+
+@pytest.mark.parametrize("edit, failures", [
+    pytest.param(lambda doc: None, [], id="equal"),
+    pytest.param(lambda doc: doc["cells"]["b"].update(loads_ok=42),
+                 ["BENCH_stub.json:cells.b.loads_ok: 42 != baseline 41"],
+                 id="fact-moved"),
+    pytest.param(lambda doc: doc["cells"]["a"].update(errors=1e-9),
+                 ["BENCH_stub.json:cells.a.errors: 1e-09 != baseline 0.0"],
+                 id="zero-baseline-is-gated"),
+    pytest.param(lambda doc: doc["cells"]["a"].pop("loads_ok"),
+                 ["BENCH_stub.json:cells.a.loads_ok: missing from fresh run"],
+                 id="fact-missing"),
+    pytest.param(lambda doc: doc.pop("host"),
+                 ["BENCH_stub.json:host.mb_per_s: missing from fresh run",
+                  "BENCH_stub.json:host.wall_s: missing from fresh run"],
+                 id="host-rows-missing"),
+    pytest.param(lambda doc: doc["host"].update(wall_s=2.2, mb_per_s=90.0,
+                                                reps=9),
+                 [], id="worse-within-threshold-and-ungated"),
+    pytest.param(lambda doc: doc["host"].update(wall_s=0.1, mb_per_s=900.0),
+                 [], id="better"),
+    pytest.param(lambda doc: doc["host"].update(wall_s=2.4),
+                 ["BENCH_stub.json:host.wall_s: 2.4 vs baseline 2 "
+                  "(lower is better, budget 15%)"], id="lower-row-worse"),
+    pytest.param(lambda doc: doc["host"].update(mb_per_s=80.0),
+                 ["BENCH_stub.json:host.mb_per_s: 80 vs baseline 100 "
+                  "(higher is better, budget 15%)"], id="higher-row-worse"),
+])
+def test_bench_regress_gates_facts_by_equality_and_host_time_by_threshold(
+        bench_regress, tmp_path, monkeypatch, capsys, edit, failures):
+    fresh = json.loads(json.dumps(BASELINE_STUB))
+    edit(fresh)
+    for sub, doc in (("baselines", BASELINE_STUB), ("fresh", fresh)):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "BENCH_stub.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(bench_regress, "BASELINE_DIR", tmp_path / "baselines")
+    monkeypatch.setattr(bench_regress, "FRESH_DIR", tmp_path / "fresh")
+    monkeypatch.setattr(bench_regress, "HOST_TIME", {"BENCH_stub.json": {
+        "host.wall_s": "lower", "*.mb_per_s": "higher",
+        "host.reps": "ungated"}})
+    assert bench_regress.main([]) == (1 if failures else 0)
+    out = capsys.readouterr().out
+    assert [line.split("REGRESSION ")[1] for line in out.splitlines()
+            if "REGRESSION" in line] == failures
+    assert ("ok BENCH_stub.json: 6 leaves" in out) == (not failures)
+
 
 def test_bench_regress_runs_each_result_file_in_its_own_process(
-        tmp_path, monkeypatch):
-    # One process for all six benches let the NoCDN sweep's heap set
-    # BENCH_scale.json's peak_rss_mb.
-    spec = importlib.util.spec_from_file_location(
-        "bench_regress", REPO / "scripts" / "bench_regress.py")
-    bench_regress = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_regress)
+        bench_regress, tmp_path, monkeypatch):
+    # One process for every bench let the NoCDN sweep's heap set the
+    # next bench's peak RSS.
     stubs = {}
     for name in ("BENCH_a.json", "BENCH_b.json"):
         stub = tmp_path / f"{name}.py"
@@ -146,10 +327,7 @@ def test_bench_regress_runs_each_result_file_in_its_own_process(
 def test_every_benchmark_entry_point_is_defined_on_its_own_class():
     # spans.py wraps cls.__dict__[method]: a method hoisted into a base
     # class would only fail there, in a traced benchmark rep.
-    spec = importlib.util.spec_from_file_location(
-        "platform_spans", REPO / "benchmarks" / "platform" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_module(REPO / "benchmarks" / "platform" / "spans.py")
     assert len(spans.ENTRY_POINTS) >= 36
     for entry in spans.ENTRY_POINTS:
         cls = getattr(importlib.import_module(entry.module), entry.cls)

@@ -12,10 +12,13 @@ def render_text(trace):
     return to_text(Document(sections=trace_sections(trace)))
 
 
-def build_trace(tmp_path, include_profile=False):
-    """A three-level async trace: request -> subop -> leaf events."""
+def build_trace(tmp_path, profiled=False):
+    """A three-level async trace: request -> subop -> leaf events.
+    ``profiled`` attaches the loop profiler, which must not show."""
     sim = Simulator(seed=1)
     tracer = sim.enable_tracing()
+    if profiled:
+        sim.enable_profiling()
 
     request = tracer.start_span("request")
 
@@ -36,7 +39,7 @@ def build_trace(tmp_path, include_profile=False):
         pass
     sim.run()
     path = str(tmp_path / "trace.jsonl")
-    tracer.export_jsonl(path, include_profile=include_profile)
+    tracer.export_jsonl(path)
     return load_trace(path)
 
 
@@ -45,12 +48,18 @@ class TestLoading:
         trace = build_trace(tmp_path)
         assert len(trace.spans()) == 3
         assert len(trace.events()) == 2
-        assert trace.profile == {}
 
     def test_load_profile(self, tmp_path):
-        trace = build_trace(tmp_path, include_profile=True)
-        assert set(trace.profile) == {"start-subop", "leaf"}
-        assert trace.meta["events"] == 2
+        """A profiled run loads as the same trace: host time is not in
+        the file, and record kinds an older export carried are skipped."""
+        trace = build_trace(tmp_path, profiled=True)
+        assert trace == build_trace(tmp_path)
+        assert not hasattr(trace, "profile") and not hasattr(trace, "meta")
+        with open(tmp_path / "trace.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"kind":"profile","label":"leaf","count":1,'
+                     '"wall_s":0.5}\n{"kind":"meta","events":2,'
+                     '"wall_s":0.5,"dropped":9}\n')
+        assert load_trace(str(tmp_path / "trace.jsonl")) == trace
 
 
 class TestSpanTable:
@@ -85,29 +94,29 @@ class TestCriticalPath:
 
 class TestHotspots:
     def test_event_count_fallback(self, tmp_path):
-        trace = build_trace(tmp_path)
-        rows = hotspots(trace)
-        assert {r[0] for r in rows} == {"start-subop", "leaf"}
-        assert all(r[2] == 0.0 for r in rows)  # no wall profile
+        """Count-ranked (label, count, share) rows, ties by label."""
+        assert hotspots(build_trace(tmp_path)) == [
+            ("leaf", 1, 0.5), ("start-subop", 1, 0.5)]
 
     def test_profile_based(self, tmp_path):
-        trace = build_trace(tmp_path, include_profile=True)
-        rows = hotspots(trace)
-        assert {r[0] for r in rows} == {"start-subop", "leaf"}
-        assert abs(sum(r[3] for r in rows) - 1.0) < 1e-9
+        """The loop profiler being attached changes no row."""
+        rows = hotspots(build_trace(tmp_path, profiled=True))
+        assert rows == hotspots(build_trace(tmp_path))
+        assert abs(sum(share for _label, _count, share in rows) - 1.0) < 1e-9
+        assert hotspots(build_trace(tmp_path), top=1) == rows[:1]
 
 
 class TestRender:
     def test_all_sections_present(self, tmp_path):
-        trace = build_trace(tmp_path, include_profile=True)
+        trace = build_trace(tmp_path, profiled=True)
         report = render_text(trace)
         assert "== Span latency (simulated time) ==" in report
         assert "== Critical path of slowest span: request" in report
         assert "== Trace hotspots by event label ==" in report
-        assert "meta:" in report
+        assert "meta:" not in report
 
     def test_every_section_is_in_every_rendering(self, tmp_path):
-        trace = build_trace(tmp_path, include_profile=True)
+        trace = build_trace(tmp_path, profiled=True)
         trace.sampling = {"rate": 0.5, "traces_seen": 2, "traces_kept": 1,
                           "spans_kept": 3, "spans_discarded": 1,
                           "kept_by_reason": {"slow": 1},
@@ -116,7 +125,7 @@ class TestRender:
         assert [s.heading for s in doc.sections] == [
             "Span latency (simulated time)",
             "Critical path of slowest span: request (3.00000 s)",
-            "Trace hotspots by event label", "Tail sampling", ""]
+            "Trace hotspots by event label", "Tail sampling"]
         _md, _html, text = assert_in_every_rendering(doc)
         assert "[span] request ← slowest" in text
         assert "1/2 traces kept at rate 0.5 (3 spans kept, 1 discarded)" \
@@ -124,9 +133,13 @@ class TestRender:
         assert "WARNING: 0 exemplar pins missed, 2 flagged spans" in text
 
     def test_spans_only_trace_says_shares_are_counts(self, tmp_path):
+        """Every trace's hotspot table is counts and count shares, and
+        the report is the same bytes with the profiler on or off."""
         report = render_text(build_trace(tmp_path))
-        assert "(no wall-clock profile in this trace; shares are " \
-            "event-count shares)" in report
+        assert "label        count  share" in report
+        assert "leaf         1      50.0%" in report
+        assert "wall" not in report
+        assert report == render_text(build_trace(tmp_path, profiled=True))
 
     def test_render_empty(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")
@@ -170,7 +183,7 @@ class TestReportJson:
     def test_schema(self, tmp_path):
         from repro.obs.report import report_json
 
-        doc = report_json(build_trace(tmp_path, include_profile=True))
+        doc = report_json(build_trace(tmp_path, profiled=True))
         assert doc["spans"] == 3
         assert doc["events"] == 2
         assert doc["dropped"] == 0
@@ -178,9 +191,11 @@ class TestReportJson:
         assert names == ["request", "subop", "fast"]
         assert doc["span_table"][0]["mean_s"] == 3.0
         assert doc["critical_path"][0]["name"] == "request"
-        assert {h["label"] for h in doc["hotspots"]} \
-            == {"start-subop", "leaf"}
-        assert doc["meta"]["events"] == 2
+        assert doc["hotspots"] == [
+            {"label": "leaf", "count": 1, "share": 0.5},
+            {"label": "start-subop", "count": 1, "share": 0.5}]
+        assert "meta" not in doc
+        assert doc == report_json(build_trace(tmp_path))
 
     def test_dropped_visible_in_json(self, tmp_path):
         from repro.obs.report import report_json
@@ -193,5 +208,5 @@ class TestReportJson:
 
         from repro.obs.report import report_json
 
-        doc = report_json(build_trace(tmp_path, include_profile=True))
+        doc = report_json(build_trace(tmp_path, profiled=True))
         json.dumps(doc, sort_keys=True)

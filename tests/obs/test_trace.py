@@ -143,18 +143,18 @@ class TestEventPropagation:
 
 
 class TestLiteMode:
-    """trace_events=False, profile_events=False: the engine inlines the
-    per-event hook to context propagation only — both in step() and in
-    the batched run()/run_until() loops."""
+    """trace_events=False: the engine inlines the per-event hook to
+    context propagation only — both in step() and in the batched
+    run()/run_until() loops."""
 
     def test_lite_flag(self):
-        _sim, tracer = traced_sim(trace_events=False, profile_events=False)
+        _sim, tracer = traced_sim(trace_events=False)
         assert tracer.lite
         _sim2, full = traced_sim()
         assert not full.lite
 
     def test_context_propagates_through_run(self):
-        sim, tracer = traced_sim(trace_events=False, profile_events=False)
+        sim, tracer = traced_sim(trace_events=False)
         with tracer.trace("root") as root:
             sim.schedule(1.0, lambda: tracer.start_span("child").finish(),
                          label="work")
@@ -164,7 +164,7 @@ class TestLiteMode:
         assert child.trace_id == root.trace_id
 
     def test_context_propagates_through_run_until(self):
-        sim, tracer = traced_sim(trace_events=False, profile_events=False)
+        sim, tracer = traced_sim(trace_events=False)
 
         def chain():
             tracer.start_span("hop1").finish()
@@ -179,7 +179,7 @@ class TestLiteMode:
         assert by_name["hop2"].trace_id == root.trace_id
 
     def test_current_cleared_and_events_counted(self):
-        sim, tracer = traced_sim(trace_events=False, profile_events=False)
+        sim, tracer = traced_sim(trace_events=False)
         for i in range(5):
             sim.schedule(float(i + 1), lambda: None, label="a")
         sim.run()
@@ -187,12 +187,12 @@ class TestLiteMode:
         assert tracer.events_traced == 5
 
     def test_no_marks_and_no_profile(self):
-        sim, tracer = traced_sim(trace_events=False, profile_events=False)
+        sim, tracer = traced_sim(trace_events=False)
         with tracer.trace("root"):
             sim.schedule(1.0, lambda: None, label="work")
         sim.run()
         assert all(s.kind == "span" for s in tracer.spans())
-        assert tracer.profile == {}
+        assert not hasattr(tracer, "profile")
 
     def test_lite_matches_full_span_tree(self):
         """The same seeded workload yields the same span parentage in
@@ -214,7 +214,7 @@ class TestLiteMode:
                     if s.kind == "span"}
 
         full = run()
-        lite = run(trace_events=False, profile_events=False)
+        lite = run(trace_events=False)
         assert lite == full
 
 
@@ -249,17 +249,30 @@ class TestExport:
         assert op["attrs"] == {"n": 3}
 
     def test_profile_records_only_when_asked(self, tmp_path):
-        sim, tracer = traced_sim()
-        sim.schedule(1.0, lambda: None, label="tick")
-        sim.run()
-        bare = str(tmp_path / "bare.jsonl")
-        full = str(tmp_path / "full.jsonl")
-        tracer.export_jsonl(bare)
-        tracer.export_jsonl(full, include_profile=True)
-        bare_kinds = {r["kind"] for r in iter_jsonl(bare)}
-        full_kinds = {r["kind"] for r in iter_jsonl(full)}
-        assert "profile" not in bare_kinds and "meta" not in bare_kinds
-        assert {"profile", "meta"} <= full_kinds
+        """Nobody can ask any more: the tracer holds no host time, so
+        no export carries a ``profile``/``meta`` record — plain,
+        wrapped or sampled, with the loop profiler attached or not."""
+        path = str(tmp_path / "t.jsonl")
+
+        def kinds(sampled=False, **kwargs):
+            sim, tracer = traced_sim(**kwargs)
+            sim.enable_profiling()
+            if sampled:
+                tracer.enable_tail_sampling(rate=1.0)
+            for i in range(4):
+                with tracer.trace(f"op{i}"):
+                    sim.schedule(1.0, lambda: None, label="tick")
+            sim.run()
+            tracer.export_jsonl(path)
+            with pytest.raises(TypeError):
+                tracer.export_jsonl(path, include_profile=True)
+            return {r["kind"] for r in iter_jsonl(path)}
+
+        assert kinds() == {"span", "event"}
+        assert kinds(capacity=2) == {"event", "dropped"}
+        assert kinds(sampled=True, trace_events=False) == {"span", "sampling"}
+        with pytest.raises(TypeError):
+            Tracer(Simulator(), profile_events=False)
 
     def test_same_seed_exports_identical(self, tmp_path):
         def run(path):
@@ -283,16 +296,21 @@ class TestExport:
 
 class TestProfile:
     def test_wall_clock_profile_by_label(self):
+        """Host time per label has one owner, the loop profiler; it
+        counts what the tracer counts."""
         sim, tracer = traced_sim()
+        profiler = sim.enable_profiling()
         sim.schedule(1.0, lambda: None, label="alpha")
         sim.schedule(2.0, lambda: None, label="alpha")
         sim.schedule(3.0, lambda: None, label="beta")
         sim.run()
-        assert tracer.profile["alpha"][0] == 2
-        assert tracer.profile["beta"][0] == 1
-        assert tracer.events_traced == 3
-        assert tracer.wall_seconds > 0
-        assert tracer.events_per_second > 0
+        assert profiler.stats["alpha"].count == 2
+        assert profiler.stats["beta"].count == 1
+        assert profiler.events == tracer.events_traced == 3
+        assert profiler.wall_seconds > 0
+        assert profiler.events_per_second > 0
+        for gone in ("profile", "wall_seconds", "events_per_second"):
+            assert not hasattr(tracer, gone)
 
 
 class TestSpansDropped:

@@ -123,7 +123,7 @@ class TestCallSoonWeak:
         assert fired == ["s"]
 
 
-LITE = {"trace_events": False, "profile_events": False}
+LITE = {"trace_events": False}
 # mode -> (enable_tracing keywords or None, profiler attached)
 MODES = {
     "plain": (None, False),

@@ -1,5 +1,7 @@
 """Fleet-scale background aggregation: correctness and determinism."""
 
+import random
+import statistics
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +12,6 @@ from repro.sim.engine import Simulator
 from repro.workloads.fleet import (
     FleetSpec,
     FocusRequestLoad,
-    PerHomeBackground,
     build_fleet,
 )
 from repro.workloads.traffic import HouseholdProfile
@@ -26,6 +27,24 @@ class TestBuildFleet:
         assert len(fleet.aggregates) == 50
         # 50 agg routers + 3 homes' worth of nodes + core + origin site.
         assert len(fleet.city.network.nodes) < 80
+
+    @pytest.mark.parametrize("homes, sim_seconds, events, nodes", [
+        (1_000, 600.0, 599, 21),
+        (10_000, 600.0, 5_995, 30),
+        (100_000, 300.0, 29_954, 120),
+    ])
+    def test_events_and_nodes_grow_with_neighborhoods_not_homes(
+            self, homes, sim_seconds, events, nodes):
+        """The fleet engine's scale contract, exactly: one tick event
+        per neighbourhood per sim-second and one aggregation router per
+        neighbourhood, whatever the home count (a bare 100k-home fleet
+        is 120 nodes — the floor fleet telemetry's memory sits on)."""
+        sim = Simulator(seed=42)
+        fleet = build_fleet(sim, FleetSpec(num_homes=homes,
+                                           focus_homes=5)).start()
+        sim.run_until(sim_seconds)
+        assert sim.events_fired == events
+        assert len(fleet.city.network.nodes) == nodes
 
     def test_focus_homes_are_fully_built(self):
         sim = Simulator(seed=1)
@@ -70,29 +89,36 @@ class TestAggregation:
         assert up == pytest.approx(5_000 * mean_up * 200 / 8, rel=0.02)
 
     def test_aggregate_matches_naive_mode_statistically(self):
-        """The tentpole equivalence: Gamma(n, m) cohort draws and n
-        per-home exponential draws agree on the load they place on the
-        uplink (same mean within sampling error)."""
-        spec = FleetSpec(num_homes=400, focus_homes=0,
-                         homes_per_neighborhood=400)
+        """The tentpole equivalence: one cohort draw per tick has the
+        distribution of what it replaces — n homes each contributing an
+        exponential byte count with per-tick mean m, i.e. Gamma(n, m):
+        mean n*m, variance n*m**2. Totals are compared in units of m
+        (a tick's m follows its jittered span)."""
+        n, ticks = 400, 1_000
+        sim = Simulator(seed=7)
+        spec = FleetSpec(num_homes=n, focus_homes=0, homes_per_neighborhood=n)
+        [aggregate] = build_fleet(sim, spec).start().aggregates
+        carried = aggregate.uplink.forward.stats
+        up_bytes_per_s = spec.profile.mean_rates()[1] / 8
+        totals = []
+        for _ in range(ticks):
+            before, last = carried.bytes_carried, sim.now
+            assert sim.step()
+            totals.append((carried.bytes_carried - before)
+                          / (up_bytes_per_s * (sim.now - last)))
+        # One event per tick did it, where the naive mode fires n.
+        assert sim.events_fired == ticks
 
-        sim_a = Simulator(seed=7)
-        fleet = build_fleet(sim_a, spec).start()
-        sim_a.run_until(100.0)
-        aggregated = fleet.aggregates[0].uplink.forward.stats.bytes_carried
+        # The naive mode, from its definition: n per-home draws a tick.
+        rng = random.Random(7)
+        naive = [sum(rng.expovariate(1.0) for _ in range(n))
+                 for _ in range(ticks)]
 
-        sim_n = Simulator(seed=7)
-        fleet_n = build_fleet(sim_n, spec)
-        naive = PerHomeBackground(
-            sim_n, fleet_n.aggregates[0].uplink, 400, spec.profile,
-            tick=spec.tick, stream="naive.bg0").start()
-        sim_n.run_until(100.0)
-        naive_bytes = fleet_n.aggregates[0].uplink.forward.stats.bytes_carried
-        naive.stop()
-
-        assert aggregated == pytest.approx(naive_bytes, rel=0.25)
-        # And vastly fewer events did it.
-        assert sim_a.events_fired < sim_n.events_fired / 50
+        # Standard errors over 1,000 ticks: mean n/sqrt(n*ticks) = 0.16 %,
+        # variance n*sqrt(2/ticks) = 4.5 %.
+        for sample in (totals, naive):
+            assert statistics.fmean(sample) == pytest.approx(n, rel=0.01)
+            assert statistics.variance(sample) == pytest.approx(n, rel=0.2)
 
     def test_background_is_weak(self):
         """Aggregation ticks must not keep run() from quiescence."""
@@ -178,8 +204,7 @@ def run_governed_fleet(out_dir, tag):
                             slow_every=25, slow_delay=1.0, peer_every=10)
     FaultInjector(sim, fleet.city.network).apply(
         FaultPlan([LinkFlap("hpop-n0h1", at=4.0, duration=6.0)]))
-    tracer = sim.enable_tracing(capacity=262_144, trace_events=False,
-                                profile_events=False)
+    tracer = sim.enable_tracing(capacity=262_144, trace_events=False)
     sampler = tracer.enable_tail_sampling(rate=0.02, slow_threshold=0.8,
                                           grace=30.0)
     tsdb = TimeSeriesDB(sim, interval=2.0)
