@@ -57,6 +57,20 @@ class BackupManifestEntry:
     owner: str = ""
 
 
+def _is_shard_asked_for(resp: HttpResponse, entry: BackupManifestEntry,
+                        index: int) -> bool:
+    """Whether a fetch was answered with the shard it named.
+
+    A holder's reply is outside input: anything else -- an error, a
+    body that is no ``Shard``, a shard of another index or geometry --
+    is a miss, because one bad shard among the collected ones would make
+    every later decode of them raise.
+    """
+    body = resp.body
+    return (resp.ok and isinstance(body, Shard)
+            and (body.index, body.k, body.m) == (index, entry.k, entry.m))
+
+
 class PeerBackupService(HpopService):
     """Install on an HPoP; add friends; back up and restore the attic.
 
@@ -471,7 +485,7 @@ class PeerBackupService(HpopService):
 
             def got(resp: HttpResponse, _stats) -> None:
                 state["pending"] -= 1
-                if resp.ok and isinstance(resp.body, Shard):
+                if _is_shard_asked_for(resp, entry, index):
                     collected.append(resp.body)
                     try_decode()
                 maybe_give_up()
@@ -585,7 +599,7 @@ class PeerBackupService(HpopService):
 
             def got(resp: HttpResponse, _stats) -> None:
                 probe["pending"] -= 1
-                if resp.ok and isinstance(resp.body, Shard):
+                if _is_shard_asked_for(resp, entry, index):
                     survivors.append(resp.body)
                 else:
                     lost.append(index)
@@ -628,8 +642,7 @@ class PeerBackupService(HpopService):
             self._c_repairs_failed.inc()
             on_done(False, 0)
             return
-        full = self.codec.encode(payload)
-        replacement_shards = [full[i] for i in lost]
+        replacement_shards = self.codec.shards_of(payload, lost)
 
         # Prefer healthy friends not already holding a shard of this
         # file; fall back to healthy existing holders (a peer holding

@@ -21,19 +21,29 @@ subsets can be singular, e.g. k=5, m=4, surviving shards {3,5,6,7,8}.)
 
 Performance
 -----------
-Shard arithmetic is table-driven and bulk: multiplying a whole shard by
-a GF(256) constant is one ``bytes.translate`` over a precomputed
-256-byte table, and row accumulation is whole-buffer XOR via integer
-arithmetic -- no per-byte Python loops on the hot path. Inverted decode
-matrices are LRU-cached per surviving-index tuple so repeated repairs
-skip Gauss-Jordan.
+Shard arithmetic is bulk, with no per-byte Python loop on the hot path.
+*Multiply:* a whole shard times a GF(256) constant is one
+``bytes.translate`` over a precomputed 256-byte table (~2 GB/s, the
+fastest thing available: ``np.take`` through the same tables was tried
+and is no faster than the integer kernel, because numpy widens ``uint8``
+indices to ``intp``). *Accumulate:* a row's terms are XORed in place
+into one numpy ``uint8`` array when shards are at least
+``_NUMPY_MIN_SHARD_LEN`` long and through one Python integer below
+that, so a process that only codes small shards never imports numpy.
+*Code what is asked:* ``shards_of`` is the one coding entry point --
+``encode`` asks it for every index, a repair for the indices it lost --
+and multiplies only the parity rows wanted. *Copies:* ``encode`` slices
+the payload once (only a short tail shard is padded) and ``decode``
+trims the tail before its one ``join``. Inverted decode matrices are
+LRU-cached per surviving-index tuple so repeated repairs skip
+Gauss-Jordan.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 _PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1, the usual RS polynomial
 
@@ -111,23 +121,48 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
             ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
+def _row_terms(row: Sequence[int], shards: Sequence[bytes]) -> Iterator[bytes]:
+    """The non-zero terms ``row[j] * shards[j]`` of one output row: one
+    ``bytes.translate`` each, made lazily so one is alive at a time."""
+    return (shard if coeff == 1 else shard.translate(_MUL_TABLE[coeff])
+            for coeff, shard in zip(row, shards) if coeff)
+
+
+def _xor_as_ints(terms: Iterable[bytes], shard_len: int) -> bytes:
+    """XOR equal-length buffers through one big Python integer."""
+    acc = 0
+    for term in terms:
+        acc ^= int.from_bytes(term, "little")
+    return acc.to_bytes(shard_len, "little")
+
+
+def _xor_in_numpy(terms: Iterable[bytes], shard_len: int) -> bytes:
+    """XOR equal-length buffers in place into one ``uint8`` array."""
+    import numpy as np
+
+    acc = np.zeros(shard_len, np.uint8)
+    for term in terms:
+        np.bitwise_xor(acc, np.frombuffer(term, np.uint8), out=acc)
+    return acc.tobytes()
+
+
+# Shards at least this long are accumulated by ``_xor_in_numpy`` (about
+# ten times faster per byte than converting to integers and back),
+# shorter ones by ``_xor_as_ints``. The rule exists for the import, not
+# for per-call speed: loading numpy costs ~16 MiB resident and ~0.1 s,
+# which a process that only ever codes small shards (a chaos world backs
+# up 80 KiB files at RS(2,1)) must not pay, so numpy is first imported
+# by the first shard that reaches this length. Nothing sets it.
+_NUMPY_MIN_SHARD_LEN = 64 * 1024
+
+
 def _rows_times_shards(rows: Sequence[Sequence[int]],
                        shards: Sequence[bytes], shard_len: int) -> List[bytes]:
-    """Apply a coefficient matrix to whole shard buffers.
-
-    Output row r = XOR_j rows[r][j] * shards[j], computed with translate
-    tables and integer-wide XOR.
-    """
-    out: List[bytes] = []
-    for row in rows:
-        acc = 0
-        for coeff, shard in zip(row, shards):
-            if coeff == 0:
-                continue
-            term = shard if coeff == 1 else shard.translate(_MUL_TABLE[coeff])
-            acc ^= int.from_bytes(term, "little")
-        out.append(acc.to_bytes(shard_len, "little"))
-    return out
+    """Apply a coefficient matrix to whole shard buffers:
+    output row r = XOR_j rows[r][j] * shards[j]."""
+    xor_terms = (_xor_in_numpy if shard_len >= _NUMPY_MIN_SHARD_LEN
+                 else _xor_as_ints)
+    return [xor_terms(_row_terms(row, shards), shard_len) for row in rows]
 
 
 def _vandermonde(n: int, k: int) -> List[List[int]]:
@@ -228,7 +263,6 @@ class ReedSolomonCodec:
         self.k = k
         self.m = m
         self._matrix = build_generator_matrix(k, m)
-        self._parity_rows = self._matrix[k:]
         # LRU of inverted decode matrices keyed by the surviving-index
         # tuple, so repeated repairs with the same erasure pattern skip
         # Gauss-Jordan entirely.
@@ -239,17 +273,33 @@ class ReedSolomonCodec:
     def total_shards(self) -> int:
         return self.k + self.m
 
+    def shards_of(self, payload: bytes, wanted: Sequence[int]) -> List[Shard]:
+        """The shards of ``payload`` at the ``wanted`` indices, in that order.
+
+        The one coding entry point. A data shard is a slice of the
+        payload, padded only where the tail is short; of the generator
+        rows, only those of the parity indices in ``wanted`` are
+        multiplied.
+        """
+        for index in wanted:
+            if not 0 <= index < self.total_shards:
+                raise ValueError(f"shard index {index} out of range")
+        shard_len = (len(payload) + self.k - 1) // self.k if payload else 1
+        parity = [i for i in wanted if i >= self.k]
+        bufs = {}
+        for i in (range(self.k) if parity else wanted):
+            piece = payload[i * shard_len:(i + 1) * shard_len]
+            bufs[i] = piece.ljust(shard_len, b"\x00")  # itself when full
+        if parity:
+            bufs.update(zip(parity, _rows_times_shards(
+                [self._matrix[i] for i in parity],
+                [bufs[i] for i in range(self.k)], shard_len)))
+        return [Shard(index=i, data=bufs[i], k=self.k, m=self.m,
+                      original_length=len(payload)) for i in wanted]
+
     def encode(self, payload: bytes) -> List[Shard]:
         """Split ``payload`` into k data shards and compute m parity shards."""
-        shard_len = (len(payload) + self.k - 1) // self.k if payload else 1
-        padded = payload.ljust(shard_len * self.k, b"\x00")
-        data = [padded[i * shard_len:(i + 1) * shard_len] for i in range(self.k)]
-        parity = _rows_times_shards(self._parity_rows, data, shard_len)
-        return [
-            Shard(index=i, data=buf, k=self.k, m=self.m,
-                  original_length=len(payload))
-            for i, buf in enumerate(data + parity)
-        ]
+        return self.shards_of(payload, range(self.total_shards))
 
     def _decode_matrix(self, indices: Tuple[int, ...]) -> List[List[int]]:
         """The cached inverse of the generator rows for ``indices``."""
@@ -272,6 +322,8 @@ class ReedSolomonCodec:
         for shard in shards:
             if shard.k != self.k or shard.m != self.m:
                 raise ValueError("shard geometry does not match this codec")
+            if not 0 <= shard.index < self.total_shards:
+                raise ValueError(f"shard index {shard.index} out of range")
             by_index.setdefault(shard.index, shard)
         if len(by_index) < self.k:
             raise ValueError(
@@ -286,38 +338,26 @@ class ReedSolomonCodec:
 
         present = {s.index: s.data for s in chosen if s.index < self.k}
         missing = [i for i in range(self.k) if i not in present]
-        if not missing:
-            # Fast path: all k systematic shards present.
-            payload = b"".join(present[i] for i in range(self.k))
-            return payload[:original_length]
-
-        indices = tuple(s.index for s in chosen)
-        inverse = self._decode_matrix(indices)
-        survivors = [s.data for s in chosen]
-        # Only reconstruct rows that are actually missing; systematic
-        # survivors are used verbatim.
-        rebuilt = _rows_times_shards([inverse[i] for i in missing],
-                                     survivors, shard_len)
-        for row_index, buf in zip(missing, rebuilt):
-            present[row_index] = buf
-        payload = b"".join(present[i] for i in range(self.k))
-        return payload[:original_length]
+        if missing:
+            # Only reconstruct rows that are actually missing; systematic
+            # survivors are used verbatim.
+            inverse = self._decode_matrix(tuple(s.index for s in chosen))
+            present.update(zip(missing, _rows_times_shards(
+                [inverse[i] for i in missing],
+                [s.data for s in chosen], shard_len)))
+        # Trim the padding off the tail before joining (a slice that
+        # trims nothing is the shard itself), so the join is the one copy.
+        return b"".join(present[i][:max(0, original_length - i * shard_len)]
+                        for i in range(self.k))
 
     def reconstruct_shards(self, shards: Sequence[Shard],
                            wanted: Sequence[int]) -> List[Shard]:
         """Regenerate the shards at ``wanted`` indices from any k survivors.
 
-        This is the repair primitive: decode once, then re-project the
-        data through the generator rows for the lost indices.
+        This is the repair primitive: decode once, then code only the
+        lost indices from the decoded payload.
         """
-        for index in wanted:
-            if not 0 <= index < self.total_shards:
-                raise ValueError(f"shard index {index} out of range")
-        payload = self.decode(shards)
-        # Re-encoding is bulk table arithmetic, so regenerating from the
-        # decoded payload costs one encode pass.
-        full = self.encode(payload)
-        return [full[i] for i in wanted]
+        return self.shards_of(self.decode(shards), wanted)
 
     def clear_decode_cache(self) -> None:
         self._decode_cache.clear()

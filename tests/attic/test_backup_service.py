@@ -1,5 +1,7 @@
 """Peer-backup service tests: shard placement and restore over the network."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attic.backup_service import PeerBackupService, file_backup_bytes
@@ -7,6 +9,7 @@ from repro.attic.service import DataAtticService
 from repro.hpop.core import Household, Hpop, User
 from repro.net.topology import build_city
 from repro.sim.engine import Simulator
+from repro.util import erasure
 from repro.util.units import kib
 
 
@@ -233,6 +236,8 @@ class TestRestore:
 class TestRepair:
     """Peer failure injection: lost shards are rebuilt and re-placed."""
 
+    PATH = "/u0/docs/tax.pdf"
+
     def backed_up_world(self, num_friends=8, k=3, m=2):
         sim, city, owner, services = build(num_friends=num_friends, k=k, m=m)
         put_file(owner, "/u0/docs/tax.pdf", kib(120))
@@ -417,6 +422,68 @@ class TestRepair:
         # The gauge is wired through to the codec's cache stats.
         assert (owner.metrics.value("decode_cache_hit_rate")
                 == owner.codec.decode_cache_stats.hit_rate)
+
+
+    # -- a holder's answer is outside input ----------------------------------
+
+    @pytest.mark.parametrize("forged", [
+        pytest.param({"index": 99}, id="index-past-the-geometry"),
+        pytest.param({"index": -1}, id="negative-index"),
+        pytest.param({"k": 4}, id="other-geometry"),
+    ])
+    def test_restore_and_repair_treat_a_wrong_shard_as_a_miss(self, forged):
+        sim, _city, owner, services = self.backed_up_world()
+        entry = owner.manifest[self.PATH]
+        by_name = {s.owner_name: s for s in services[1:]}
+        liar = by_name[entry.shard_holders[0]]
+        key = (owner.owner_name, self.PATH, 0)
+        honest_shard = liar.held_shards[key]
+        liar.held_shards[key] = replace(honest_shard, **forged)
+
+        # Restore: the k+m-1 honest holders still carry the file.
+        owner.hpop.service("attic").dav.tree.delete(self.PATH)
+        restored = []
+        owner.restore_file(self.PATH, restored.append)
+        sim.run()
+        assert restored == [True]
+
+        # Repair: the liar's shard counts as lost and is placed again
+        # (on the liar itself if it is the first healthy candidate).
+        results = []
+        owner.repair_file(self.PATH, lambda ok, n: results.append((ok, n)))
+        sim.run()
+        assert results == [(True, 1)]
+        assert by_name[entry.shard_holders[0]].held_shards[key] \
+            == honest_shard
+
+    # -- counts, not timings: coefficient rows handed to the GF(256) kernel --
+
+    @pytest.mark.parametrize("lost, rows_coded", [
+        pytest.param((0, 1, 2), 3, id="three-data-shards"),   # was 3 + 3
+        pytest.param((7,), 1, id="one-parity-shard"),         # was 0 + 3
+        pytest.param((), 0, id="healthy"),
+    ])
+    def test_repair_codes_only_the_shards_it_lost(self, monkeypatch, lost,
+                                                  rows_coded):
+        sim, _city, owner, services = self.backed_up_world(
+            num_friends=12, k=6, m=3)
+        entry = owner.manifest[self.PATH]
+        by_name = {s.owner_name: s for s in services[1:]}
+        for index in lost:
+            by_name[entry.shard_holders[index]].hpop.shutdown()
+        handed = []
+        kernel = erasure._rows_times_shards
+
+        def recording(rows, shards, shard_len):
+            handed.extend(rows)
+            return kernel(rows, shards, shard_len)
+
+        monkeypatch.setattr(erasure, "_rows_times_shards", recording)
+        results = []
+        owner.repair_file(self.PATH, lambda ok, n: results.append((ok, n)))
+        sim.run()
+        assert results == [(True, len(lost))]
+        assert len(handed) == rows_coded
 
 
 class TestCanonicalBytes:

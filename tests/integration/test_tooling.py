@@ -1,10 +1,11 @@
 """Guards on the tooling itself: nothing ``Makefile`` or
 ``scripts/check.sh`` names may be missing and ``make check`` stays
-pytest only; ``src/`` grows no literal clones and no function nothing
-names; report markup is written in one module; the host clock is read
-in four files; ``bench_regress.py`` gates facts by equality and
-``--run`` isolates each bench; every method the platform benchmark
-patches is defined where it looks for it."""
+pytest only; ``src/`` grows no literal clones, no function nothing
+names and no numpy import outside the erasure kernel; report markup is
+written in one module; the host clock is read in four files;
+``bench_regress.py`` gates facts by equality and ``--run`` isolates
+each bench; every method the platform benchmark patches is defined
+where it looks for it."""
 
 import ast
 import functools
@@ -13,6 +14,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -105,6 +108,60 @@ def test_no_file_pair_shares_more_clone_windows_than_the_ratchet():
     assert ("repro/transport/mptcp.py", "repro/transport/tcp.py") not in pairs
     over = {pair: n for pair, n in pairs.items() if n > MAX_CLONE_WINDOWS}
     assert not over, f"literal clones above the ratchet: {over}"
+
+
+# -- numpy is loaded by the first long shard, and by nothing else ------------
+
+def _numpy_imports(tree):
+    """The import statements under ``tree`` that name numpy."""
+    found = set()
+    for node in ast.walk(tree):
+        modules = ([alias.name for alias in node.names]
+                   if isinstance(node, ast.Import)
+                   else [node.module or ""]
+                   if isinstance(node, ast.ImportFrom) else [])
+        if any(module.split(".")[0] == "numpy" for module in modules):
+            found.add(node)
+    return found
+
+
+def test_numpy_is_imported_in_one_function_of_one_src_file():
+    # A module-level import anywhere under src/ would charge every
+    # process numpy's ~16 MiB and ~0.1 s (repro.util.erasure's length
+    # rule says who should pay it).
+    at_module_level, inside_functions = set(), set()
+    for path, tree in _trees("src"):
+        in_function = {
+            node for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in _numpy_imports(function)}
+        name = str(path.relative_to(REPO))
+        if _numpy_imports(tree) - in_function:
+            at_module_level.add(name)
+        if in_function:
+            inside_functions.add(name)
+    assert at_module_level == set()
+    assert inside_functions == {"src/repro/util/erasure.py"}
+
+
+IMPORT_CONTRACT = """
+import sys
+from repro.workloads.chaos import run_chaos
+owner = run_chaos(11)[0].owner          # 80 KiB files at RS(2,1)
+assert len(owner.manifest) == 3 and owner.metrics.value("shards_repaired") > 0
+assert "numpy" not in sys.modules, "a small-shard process loaded numpy"
+from repro.util.erasure import ReedSolomonCodec
+ReedSolomonCodec(6, 3).encode(bytes(8 << 20))
+assert "numpy" in sys.modules, "an 8 MiB encode did not use numpy"
+"""
+
+
+def test_numpy_loads_for_long_shards_only():
+    # In a process of its own: this session imported numpy long ago.
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_CONTRACT], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert done.returncode == 0, done.stderr
 
 
 # -- functions nothing refers to ---------------------------------------------

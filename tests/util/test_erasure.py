@@ -1,6 +1,7 @@
 """Reed-Solomon erasure coding tests, including property-based coverage."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +89,19 @@ class TestCodecBasics:
         shards = codec_a.encode(b"abcdef")
         with pytest.raises(ValueError):
             codec_b.decode(shards)
+
+    @pytest.mark.parametrize("position, index", [
+        # Aliased the last generator row: wrong bytes, nothing raised.
+        pytest.param(1, -1, id="negative"),
+        # Left as IndexError, past callers that catch ValueError.
+        pytest.param(3, 99, id="past-the-geometry"),
+    ])
+    def test_shard_index_outside_the_geometry_rejected(self, position, index):
+        codec = ReedSolomonCodec(4, 2)
+        shards = codec.encode(bytes(range(200)))[:4]
+        shards[position] = replace(shards[position], index=index)
+        with pytest.raises(ValueError, match="out of range"):
+            codec.decode(shards)
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
