@@ -9,6 +9,9 @@ is the *operational* mechanism: an HPoP service that
   the paper's "redundantly encoding the contents ... and storing pieces
   with a variety of peers".
 
+Every exchange with a friend is one POST to :data:`SHARD_ROUTE` (one
+RPC, three verbs: ``ping``, ``fetch``, ``store``).
+
 Shard bytes are the file's canonical derived bytes (the same stand-in
 used for content hashing), so a restore is verified end to end: the
 decoded payload must hash to the original.
@@ -16,7 +19,8 @@ decoded payload must hash to the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.detector import HeartbeatMonitor
@@ -24,17 +28,23 @@ from repro.hpop.core import Hpop, HpopService
 from repro.http.client import HttpClient
 from repro.http.messages import HttpRequest, HttpResponse, not_found, ok
 from repro.metrics.counters import MetricsRegistry
-from repro.util.crypto import sha256_hex
+from repro.util.crypto import derive_payload, sha256_hex
 from repro.util.erasure import ReedSolomonCodec, Shard
 from repro.webdav.resources import DavFile
 
 SHARD_ROUTE = "/backup/shard"
 
+# Auto-repair: backoff base and cap (s), failed sweeps before giving up.
+REPAIR_BACKOFF_BASE = 0.5
+REPAIR_BACKOFF_CAP = 30.0
+MAX_REPAIR_SWEEPS = 6
+# Placing one rebuilt shard: attempts, and the first retry's delay (s).
+MAX_PLACE_ATTEMPTS = 3
+PLACE_BACKOFF = 0.5
+
 
 def file_backup_bytes(path: str, version: int, size: int) -> bytes:
     """Canonical bytes for an attic file (matches the content model)."""
-    from repro.util.crypto import derive_payload
-
     return derive_payload(f"attic:{path}", version, size)
 
 
@@ -54,21 +64,39 @@ class BackupManifestEntry:
     shard_holders: List[str]  # friend HPoP host names, index-aligned
     k: int
     m: int
-    owner: str = ""
+    owner: str
 
 
-def _is_shard_asked_for(resp: HttpResponse, entry: BackupManifestEntry,
-                        index: int) -> bool:
+def _is_shard_asked_for(resp: Optional[HttpResponse],
+                        entry: BackupManifestEntry, index: int) -> bool:
     """Whether a fetch was answered with the shard it named.
 
-    A holder's reply is outside input: anything else -- an error, a
-    body that is no ``Shard``, a shard of another index or geometry --
-    is a miss, because one bad shard among the collected ones would make
-    every later decode of them raise.
+    A holder's reply is outside input: anything else -- no answer, an
+    error, a body that is no ``Shard``, a shard of another index or
+    geometry -- is a miss, because one bad shard among the collected
+    ones would make every later decode of them raise.
     """
+    if resp is None or not resp.ok:
+        return False
     body = resp.body
-    return (resp.ok and isinstance(body, Shard)
+    return (isinstance(body, Shard)
             and (body.index, body.k, body.m) == (index, entry.k, entry.m))
+
+
+def _fan_in(n: int, on_all: Callable[[List[tuple]], None]
+            ) -> Callable[..., None]:
+    """A callback for ``n`` operations: after its ``n``-th call (at once
+    when ``n`` is 0) it calls ``on_all`` with every call's arguments."""
+    results: List[tuple] = []
+
+    def one(*result) -> None:
+        results.append(result)
+        if len(results) == n:
+            on_all(results)
+
+    if n == 0:
+        on_all(results)
+    return one
 
 
 class PeerBackupService(HpopService):
@@ -76,38 +104,24 @@ class PeerBackupService(HpopService):
 
     With ``heartbeat_interval`` set, the service also runs a failure
     detector: it pings every friend each interval and declares one dead
-    when no pong arrives within ``heartbeat_timeout`` (default 3x the
-    interval). A death — or a recovery, since a crashed friend may come
-    back with its held shards gone — triggers an automatic
-    :meth:`repair_all` sweep, retried with capped exponential backoff
-    until the manifest is back at full redundancy or
-    ``max_repair_sweeps`` consecutive sweeps fail.
+    when no pong arrives within three intervals. A death — or a
+    recovery, since a crashed friend may come back with its held shards
+    gone — triggers an automatic :meth:`repair_all` sweep, retried with
+    capped exponential backoff until the manifest is back at full
+    redundancy or ``MAX_REPAIR_SWEEPS`` consecutive sweeps fail.
     """
 
     name = "peer-backup"
 
     def __init__(self, k: int = 4, m: int = 2,
-                 heartbeat_interval: Optional[float] = None,
-                 heartbeat_timeout: Optional[float] = None,
-                 repair_backoff_base: float = 0.5,
-                 repair_backoff_cap: float = 30.0,
-                 max_repair_sweeps: int = 6,
-                 revival_beats: int = 1,
-                 revival_cooldown: float = 0.0) -> None:
+                 heartbeat_interval: Optional[float] = None) -> None:
         super().__init__()
         self.codec = ReedSolomonCodec(k, m)
         self.k = k
         self.m = m
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.repair_backoff_base = repair_backoff_base
-        self.repair_backoff_cap = repair_backoff_cap
-        self.max_repair_sweeps = max_repair_sweeps
-        self.revival_beats = revival_beats
-        self.revival_cooldown = revival_cooldown
         self.monitor: Optional[HeartbeatMonitor] = None
-        self._repair_pending = False
-        self._repair_event = None
+        self._repair_event = None  # the scheduled sweep, if one is due
         self._repair_attempt = 0
         self._down_since: Dict[str, float] = {}
         # External subscribers to death/revival verdicts: fn(state, name)
@@ -147,7 +161,7 @@ class PeerBackupService(HpopService):
             "auto_repair_sweeps", "repair_all sweeps the detector triggered")
         self._c_auto_repair_gave_up = self.metrics.counter(
             "auto_repair_gave_up",
-            "auto-repair abandoned after max_repair_sweeps failures")
+            "auto-repair abandoned after MAX_REPAIR_SWEEPS failures")
         self._h_time_to_repair = self.metrics.histogram(
             "time_to_repair_seconds",
             "first peer death to full-redundancy recovery")
@@ -172,14 +186,10 @@ class PeerBackupService(HpopService):
         # A fresh monitor per boot: every friend gets a grace period of
         # one timeout, so a long outage does not cause a storm of death
         # verdicts the instant we come back.
-        timeout = (self.heartbeat_timeout
-                   if self.heartbeat_timeout is not None
-                   else 3 * self.heartbeat_interval)
         self.monitor = HeartbeatMonitor(
-            self.sim, timeout,
-            on_dead=self._peer_dead, on_alive=self._peer_recovered,
-            revival_beats=self.revival_beats,
-            revival_cooldown=self.revival_cooldown)
+            self.sim, 3 * self.heartbeat_interval,
+            on_dead=functools.partial(self._peer_verdict, "dead"),
+            on_alive=functools.partial(self._peer_verdict, "alive"))
         for friend in self.friends:
             self.monitor.watch(friend.owner_name)
         self.hpop.every(self.heartbeat_interval, self._heartbeat_tick,
@@ -191,7 +201,6 @@ class PeerBackupService(HpopService):
         self.held_shards.clear()
         self.bytes_stored_for_friends = 0
         self.monitor = None
-        self._repair_pending = False
         self._repair_event = None
         self._repair_attempt = 0
         self._down_since.clear()
@@ -202,20 +211,17 @@ class PeerBackupService(HpopService):
         """Mutual arrangement: we hold theirs, they hold ours."""
         if friend is self:
             raise ValueError("cannot befriend yourself")
-        if friend not in self.friends:
-            self.friends.append(friend)
-            if self.monitor is not None:
-                self.monitor.watch(friend.owner_name)
-        if self not in friend.friends:
-            friend.friends.append(self)
-            if friend.monitor is not None:
-                friend.monitor.watch(self.owner_name)
+        for one, other in ((self, friend), (friend, self)):
+            if other not in one.friends:
+                one.friends.append(other)
+                if one.monitor is not None:
+                    one.monitor.watch(other.owner_name)
 
     @property
     def owner_name(self) -> str:
         return self.hpop.host.name
 
-    # -- shard exchange over HTTP --------------------------------------------
+    # -- the shard exchange: one RPC, three verbs ----------------------------
 
     def _handle_shard_request(self, request: HttpRequest) -> HttpResponse:
         body = request.body if isinstance(request.body, dict) else {}
@@ -240,12 +246,47 @@ class PeerBackupService(HpopService):
             if shard is None:
                 return not_found(str(key))
             return ok(body_size=len(shard.data), body=shard)
-        if action == "delete":
-            removed = self.held_shards.pop(key, None)
-            if removed is not None:
-                self.bytes_stored_for_friends -= len(removed.data)
-            return ok(body_size=20)
         return HttpResponse(400, body_size=40, body="bad action")
+
+    def _rpc(self, friend: "PeerBackupService", body: dict, body_size: int,
+             on_reply: Callable[[Optional[HttpResponse]], None],
+             timeout: Optional[float] = None) -> None:
+        """POST ``body`` to ``friend``'s shard route; ``on_reply`` gets
+        the response, or ``None`` when the exchange failed."""
+        assert self._client is not None
+        self._client.request(
+            friend.hpop.host,
+            HttpRequest("POST", SHARD_ROUTE, body=body, body_size=body_size),
+            lambda resp, _stats: on_reply(resp), port=443, timeout=timeout,
+            on_error=lambda _exc: on_reply(None))
+
+    def _ping(self, friend: "PeerBackupService", timeout: float,
+              on_alive: Callable[[bool], None]) -> None:
+        """``on_alive(True)`` if ``friend`` pongs within ``timeout``."""
+        self._rpc(friend, {"action": "ping"}, 60,
+                  lambda resp: on_alive(resp is not None and resp.ok),
+                  timeout)
+
+    def _fetch(self, entry: BackupManifestEntry, index: int,
+               friend: "PeerBackupService",
+               on_shard: Callable[[Optional[Shard]], None]) -> None:
+        """Ask ``friend`` for shard ``index`` of ``entry``; ``on_shard``
+        gets it, or ``None`` for an error or any other answer."""
+        self._rpc(friend, {"action": "fetch", "owner": entry.owner,
+                           "path": entry.path, "index": index}, 200,
+                  lambda resp: on_shard(
+                      resp.body if _is_shard_asked_for(resp, entry, index)
+                      else None))
+
+    def _store(self, entry: BackupManifestEntry, shard: Shard,
+               friend: "PeerBackupService",
+               on_stored: Callable[[bool], None]) -> None:
+        """Ask ``friend`` to hold ``shard`` of ``entry``; ``on_stored(ok)``."""
+        self._rpc(friend, {"action": "store", "owner": entry.owner,
+                           "path": entry.path, "index": shard.index,
+                           "shard": shard},
+                  len(shard.data) + 200,
+                  lambda resp: on_stored(resp is not None and resp.ok))
 
     # -- failure detection / auto repair ----------------------------------------
 
@@ -253,57 +294,39 @@ class PeerBackupService(HpopService):
         if not self.running or self.monitor is None:
             return
         for friend in self.friends:
-            self._ping(friend)
+            self._ping(friend, self.heartbeat_interval,
+                       functools.partial(self._pong, friend.owner_name))
         self.monitor.sweep()  # verdicts fire the on_dead/on_alive hooks
 
-    def _ping(self, friend: "PeerBackupService") -> None:
-        name = friend.owner_name
-
-        def pong(resp: HttpResponse, _stats) -> None:
-            if resp.ok and self.monitor is not None:
-                self.monitor.beat(name)
-
-        assert self._client is not None
-        self._client.request(
-            friend.hpop.host,
-            HttpRequest("POST", SHARD_ROUTE, body={"action": "ping"},
-                        body_size=60),
-            pong, port=443, timeout=self.heartbeat_interval,
-            on_error=lambda exc: None)
+    def _pong(self, name: str, alive: bool) -> None:
+        if alive and self.monitor is not None:
+            self.monitor.beat(name)
 
     def add_peer_listener(self, fn: Callable[[str, str], None]) -> None:
         """Subscribe ``fn(state, name)`` to death/revival verdicts."""
         self.peer_listeners.append(fn)
 
-    def _peer_dead(self, name: str) -> None:
-        self._c_peers_declared_dead.inc()
-        self._down_since.setdefault(name, self.sim.now)
+    def _peer_verdict(self, state: str, name: str) -> None:
+        # Either verdict ("dead" or "alive") re-verifies placements: a
+        # friend may come back with our shards gone (they are volatile).
+        dead = state == "dead"
+        if dead:
+            self._down_since.setdefault(name, self.sim.now)
+        (self._c_peers_declared_dead if dead
+         else self._c_peers_recovered).inc()
         self.sim.tracer.start_span(
-            "attic.peer_dead", parent=None, peer=name,
-            owner=self.owner_name).finish()
+            "attic.peer_dead" if dead else "attic.peer_recovered",
+            parent=None, peer=name, owner=self.owner_name).finish()
         self._repair_attempt = 0
         self._schedule_auto_repair()
         for fn in self.peer_listeners:
-            fn("dead", name)
-
-    def _peer_recovered(self, name: str) -> None:
-        self._c_peers_recovered.inc()
-        self.sim.tracer.start_span(
-            "attic.peer_recovered", parent=None, peer=name,
-            owner=self.owner_name).finish()
-        # The friend may have crashed and restarted with our shards
-        # gone (held shards are volatile), so re-verify placements.
-        self._repair_attempt = 0
-        self._schedule_auto_repair()
-        for fn in self.peer_listeners:
-            fn("alive", name)
+            fn(state, name)
 
     def _schedule_auto_repair(self) -> None:
-        if self._repair_pending or not self.manifest:
+        if self._repair_event is not None or not self.manifest:
             return
-        self._repair_pending = True
-        delay = min(self.repair_backoff_cap,
-                    self.repair_backoff_base * (2 ** self._repair_attempt))
+        delay = min(REPAIR_BACKOFF_CAP,
+                    REPAIR_BACKOFF_BASE * (2 ** self._repair_attempt))
         self._repair_event = self.sim.schedule(
             delay, self._auto_repair_sweep,
             label=f"{self.owner_name}.attic.auto-repair")
@@ -318,15 +341,12 @@ class PeerBackupService(HpopService):
         """
         if not self.running or not self.manifest:
             return False
-        if self._repair_pending and self._repair_event is not None:
+        if self._repair_event is not None:
             self._repair_event.cancel()
-            self._repair_event = None
-        self._repair_pending = False
         self._auto_repair_sweep()
         return True
 
     def _auto_repair_sweep(self) -> None:
-        self._repair_pending = False
         self._repair_event = None
         if not self.running:
             return
@@ -340,21 +360,19 @@ class PeerBackupService(HpopService):
             span.finish(ok=healthy, files=total, shards_repaired=shards)
             if healthy:
                 if self._down_since:
-                    first = min(self._down_since.values())
-                    took = self.sim.now - first
+                    took = self.sim.now - min(self._down_since.values())
+                    exemplar = (None if self.exemplars is None
+                                else span.trace_id)
+                    self._h_time_to_repair.observe(took, exemplar=exemplar)
                     if self.exemplars is not None:
-                        self._h_time_to_repair.observe(
-                            took, exemplar=span.trace_id)
                         self.exemplars.record(
                             "peer-backup.time_to_repair_seconds", took,
-                            span.trace_id)
-                    else:
-                        self._h_time_to_repair.observe(took)
+                            exemplar)
                 self._down_since.clear()
                 self._repair_attempt = 0
                 return
             self._repair_attempt += 1
-            if self._repair_attempt >= self.max_repair_sweeps:
+            if self._repair_attempt >= MAX_REPAIR_SWEEPS:
                 self._c_auto_repair_gave_up.inc()
                 self._repair_attempt = 0  # a future death re-arms the sweep
                 return
@@ -362,6 +380,24 @@ class PeerBackupService(HpopService):
 
         with self.sim.tracer.activate(span):
             self.repair_all(done)
+
+    def _for_each(self, paths: List[str],
+                  start: Callable[[str, Callable[..., None]], None],
+                  on_done: Callable[..., None], empty_label: str,
+                  empty: Tuple[int, ...]) -> None:
+        """``start(path, one)`` per path, then ``on_done(succeeded, total,
+        *other column sums)``; no paths: ``on_done(*empty)``, next event."""
+        if not paths:
+            self.sim.call_soon(lambda: on_done(*empty), label=empty_label)
+            return
+
+        def tally(results: List[tuple]) -> None:
+            succeeded, *rest = (sum(column) for column in zip(*results))
+            on_done(succeeded, len(paths), *rest)
+
+        one = _fan_in(len(paths), tally)
+        for path in paths:
+            start(path, one)
 
     # -- backup -------------------------------------------------------------------
 
@@ -385,57 +421,29 @@ class PeerBackupService(HpopService):
             checksum=sha256_hex(payload),
             shard_holders=[f.owner_name for f in holders],
             k=self.k, m=self.m, owner=self.owner_name)
-        outstanding = {"n": len(shards), "ok": True}
         span = self.sim.tracer.start_span("attic.backup", path=path,
                                           shards=len(shards))
 
-        def one_done(success: bool) -> None:
-            outstanding["n"] -= 1
-            outstanding["ok"] = outstanding["ok"] and success
-            if outstanding["n"] == 0:
-                if outstanding["ok"]:
-                    self.manifest[path] = entry
-                span.finish(ok=outstanding["ok"])
-                on_done(outstanding["ok"])
+        def all_sent(results: List[tuple]) -> None:
+            self.shards_sent += sum(sent for sent, in results)
+            success = all(sent for sent, in results)
+            if success:
+                self.manifest[path] = entry
+            span.finish(ok=success)
+            on_done(success)
 
+        one = _fan_in(len(shards), all_sent)
         with self.sim.tracer.activate(span):
             for shard, friend in zip(shards, holders):
-                self._send_shard(friend, path, shard, one_done)
-
-    def _send_shard(self, friend: "PeerBackupService", path: str,
-                    shard: Shard, done: Callable[[bool], None]) -> None:
-        def sent(resp: HttpResponse, _stats) -> None:
-            self.shards_sent += resp.ok
-            done(resp.ok)
-
-        assert self._client is not None
-        self._client.request(
-            friend.hpop.host,
-            HttpRequest("POST", SHARD_ROUTE,
-                        body={"action": "store", "owner": self.owner_name,
-                              "path": path, "index": shard.index,
-                              "shard": shard},
-                        body_size=len(shard.data) + 200),
-            sent, port=443, on_error=lambda exc: done(False))
+                self._store(entry, shard, friend, one)
 
     def backup_all(self, on_done: Callable[[int, int], None]) -> None:
         """Back up every file in the attic; reports (succeeded, total)."""
         attic = self.hpop.service("attic")
         files = [p for p, r in attic.dav.tree.walk("/")
                  if isinstance(r, DavFile)]
-        if not files:
-            self.sim.call_soon(lambda: on_done(0, 0), label="backup.empty")
-            return
-        counts = {"done": 0, "ok": 0}
-
-        def one(success: bool) -> None:
-            counts["done"] += 1
-            counts["ok"] += success
-            if counts["done"] == len(files):
-                on_done(counts["ok"], len(files))
-
-        for path in files:
-            self.backup_file(path, one)
+        self._for_each(files, self.backup_file, on_done, "backup.empty",
+                       (0, 0))
 
     # -- restore ---------------------------------------------------------------------
 
@@ -445,103 +453,70 @@ class PeerBackupService(HpopService):
         """Reassemble ``path`` from any k reachable shard holders.
 
         ``target_attic`` defaults to this HPoP's attic — pass another
-        attic service to restore onto a replacement appliance.
+        attic service to restore onto a replacement appliance. Once the
+        restore has answered, shards still arriving are dropped.
         """
         entry = self.manifest.get(path)
         if entry is None:
             raise KeyError(f"no backup manifest for {path}")
         attic = target_attic or self.hpop.service("attic")
         holders = {f.owner_name: f for f in self.friends}
+        # A holder this appliance has not befriended is not asked.
+        asked = [(index, holders[name])
+                 for index, name in enumerate(entry.shard_holders)
+                 if name in holders]
         collected: List[Shard] = []
-        state = {"pending": 0, "finished": False}
+        finished = False
 
         def finish(success: bool) -> None:
-            if state["finished"]:
-                return
-            state["finished"] = True
+            nonlocal finished
+            finished = True
             on_done(success)
 
-        def try_decode() -> None:
-            if len({s.index for s in collected}) >= entry.k:
-                try:
-                    payload = self.codec.decode(collected)
-                except ValueError:
-                    return
-                if sha256_hex(payload) != entry.checksum:
-                    finish(False)
-                    return
-                parent = "/".join(path.split("/")[:-1]) or "/"
-                attic.dav.tree.mkcol_recursive(parent, now=self.sim.now)
-                attic.dav.tree.put(path, size=entry.size,
-                                   payload=f"restored:{entry.checksum[:8]}",
-                                   now=self.sim.now)
-                finish(True)
-
-        def fetch_from(holder_name: str, index: int) -> None:
-            friend = holders.get(holder_name)
-            if friend is None:
+        def decode() -> None:
+            try:
+                payload = self.codec.decode(collected)
+            except ValueError:
                 return
-            state["pending"] += 1
+            if sha256_hex(payload) != entry.checksum:
+                finish(False)
+                return
+            parent = "/".join(path.split("/")[:-1]) or "/"
+            attic.dav.tree.mkcol_recursive(parent, now=self.sim.now)
+            attic.dav.tree.put(path, size=entry.size,
+                               payload=f"restored:{entry.checksum[:8]}",
+                               now=self.sim.now)
+            finish(True)
 
-            def got(resp: HttpResponse, _stats) -> None:
-                state["pending"] -= 1
-                if _is_shard_asked_for(resp, entry, index):
-                    collected.append(resp.body)
-                    try_decode()
-                maybe_give_up()
-
-            assert self._client is not None
-            shard_owner = entry.owner or self.owner_name
-            self._client.request(
-                friend.hpop.host,
-                HttpRequest("POST", SHARD_ROUTE,
-                            body={"action": "fetch", "owner": shard_owner,
-                                  "path": path, "index": index},
-                            body_size=200),
-                got, port=443,
-                on_error=lambda exc: (state.__setitem__(
-                    "pending", state["pending"] - 1), maybe_give_up()))
-
-        def maybe_give_up() -> None:
-            if (not state["finished"] and state["pending"] == 0
-                    and len({s.index for s in collected}) < entry.k):
+        def all_answered(_results: List[tuple]) -> None:
+            if not finished and len({s.index for s in collected}) < entry.k:
                 finish(False)
 
-        for index, holder_name in enumerate(entry.shard_holders):
-            fetch_from(holder_name, index)
-        # Only once every known holder has been asked: a holder this
-        # appliance has not befriended must not end the restore while
-        # fetches to the others are still to be issued.
-        maybe_give_up()
+        answered = _fan_in(len(asked), all_answered)
+
+        def got(shard: Optional[Shard]) -> None:
+            if shard is not None and not finished:  # else a late one: dropped
+                collected.append(shard)
+                if len({s.index for s in collected}) >= entry.k:
+                    decode()
+            answered()
+
+        for index, friend in asked:
+            self._fetch(entry, index, friend, got)
 
     def restore_all(self, on_done: Callable[[int, int], None],
                     target_attic=None) -> None:
         """Restore everything in the manifest; reports (succeeded, total)."""
-        paths = list(self.manifest)
-        if not paths:
-            self.sim.call_soon(lambda: on_done(0, 0), label="restore.empty")
-            return
-        counts = {"done": 0, "ok": 0}
-
-        def one(success: bool) -> None:
-            counts["done"] += 1
-            counts["ok"] += success
-            if counts["done"] == len(paths):
-                on_done(counts["ok"], len(paths))
-
-        for path in paths:
-            self.restore_file(path, one, target_attic=target_attic)
+        self._for_each(
+            list(self.manifest),
+            lambda path, one: self.restore_file(path, one,
+                                                target_attic=target_attic),
+            on_done, "restore.empty", (0, 0))
 
     # -- repair ----------------------------------------------------------------------
 
-    def healthy_friends(self) -> List["PeerBackupService"]:
-        """Friends whose HPoP is currently running."""
-        return [f for f in self.friends if f.hpop.running]
-
     def repair_file(self, path: str,
                     on_done: Callable[[bool, int], None],
-                    max_attempts: int = 3,
-                    base_backoff: float = 0.5,
                     exclude_holders: frozenset = frozenset()) -> None:
         """Detect lost shards of ``path``, rebuild them, re-place them.
 
@@ -549,8 +524,8 @@ class PeerBackupService(HpopService):
         (or no longer has the shard) are reconstructed from any ``k``
         survivors and pushed to healthy friends, preferring peers that do
         not already hold a shard of this file. Each placement is retried
-        with exponential backoff up to ``max_attempts``. ``on_done``
-        receives (fully_repaired, shards_repaired).
+        with exponential backoff up to ``MAX_PLACE_ATTEMPTS`` times.
+        ``on_done`` receives (fully_repaired, shards_repaired).
 
         ``exclude_holders`` names friends to migrate *away from*: their
         shards are treated as lost without probing and they are never
@@ -561,224 +536,134 @@ class PeerBackupService(HpopService):
         if entry is None:
             raise KeyError(f"no backup manifest for {path}")
         holders = {f.owner_name: f for f in self.friends}
-        survivors: List[Shard] = []
         lost: List[int] = []
-        probe = {"pending": 0}
+        asked = []
+        for index, holder_name in enumerate(entry.shard_holders):
+            friend = holders.get(holder_name)
+            if (holder_name in exclude_holders or friend is None
+                    or not friend.hpop.running):
+                lost.append(index)
+            else:
+                asked.append((index, friend))
         span = self.sim.tracer.start_span("attic.repair", path=path)
         started = self.sim.now
-        inner_done = on_done
 
-        def on_done(success: bool, repaired: int) -> None:
+        def finish(success: bool, repaired: int) -> None:
             self._h_repair_latency.observe(self.sim.now - started)
             span.finish(ok=success, repaired=repaired)
-            inner_done(success, repaired)
+            on_done(success, repaired)
 
-        def probe_done() -> None:
-            if probe["pending"] > 0:
-                return
+        def probed(results: List[tuple]) -> None:
+            survivors = [shard for _i, shard in results if shard is not None]
+            lost.extend(index for index, shard in results if shard is None)
             if not lost:
-                on_done(True, 0)
-                return
-            if len({s.index for s in survivors}) < entry.k:
+                finish(True, 0)
+            elif (len({s.index for s in survivors}) < entry.k
+                  or not self._rebuild_and_replace(
+                      entry, survivors, lost, finish, exclude_holders)):
                 self._c_repairs_failed.inc()
-                on_done(False, 0)
-                return
-            self._rebuild_and_replace(entry, survivors, lost, on_done,
-                                      max_attempts, base_backoff,
-                                      exclude_holders)
-
-        def probe_holder(index: int, holder_name: str) -> None:
-            if holder_name in exclude_holders:
-                lost.append(index)
-                return
-            friend = holders.get(holder_name)
-            if friend is None or not friend.hpop.running:
-                lost.append(index)
-                return
-            probe["pending"] += 1
-
-            def got(resp: HttpResponse, _stats) -> None:
-                probe["pending"] -= 1
-                if _is_shard_asked_for(resp, entry, index):
-                    survivors.append(resp.body)
-                else:
-                    lost.append(index)
-                probe_done()
-
-            def failed(exc) -> None:
-                probe["pending"] -= 1
-                lost.append(index)
-                probe_done()
-
-            assert self._client is not None
-            self._client.request(
-                friend.hpop.host,
-                HttpRequest("POST", SHARD_ROUTE,
-                            body={"action": "fetch",
-                                  "owner": entry.owner or self.owner_name,
-                                  "path": path, "index": index},
-                            body_size=200),
-                got, port=443, on_error=failed)
+                finish(False, 0)
 
         with self.sim.tracer.activate(span):
-            for index, holder_name in enumerate(entry.shard_holders):
-                probe_holder(index, holder_name)
-            probe_done()  # covers the all-holders-dead case (no async probes)
+            one = _fan_in(len(asked), probed)
+            for index, friend in asked:
+                self._fetch(entry, index, friend,
+                            functools.partial(one, index))
 
     def _rebuild_and_replace(self, entry: BackupManifestEntry,
                              survivors: List[Shard], lost: List[int],
                              on_done: Callable[[bool, int], None],
-                             max_attempts: int, base_backoff: float,
-                             exclude_holders: frozenset = frozenset(),
-                             ) -> None:
-        """Decode from survivors, regenerate ``lost`` shards, push them."""
+                             exclude_holders: frozenset) -> bool:
+        """Decode from survivors, regenerate ``lost`` shards, push them;
+        False, pushing nothing, if that cannot start."""
         try:
             payload = self.codec.decode(survivors)
         except ValueError:
-            self._c_repairs_failed.inc()
-            on_done(False, 0)
-            return
+            return False
         if sha256_hex(payload) != entry.checksum:
-            self._c_repairs_failed.inc()
-            on_done(False, 0)
-            return
+            return False
         replacement_shards = self.codec.shards_of(payload, lost)
 
         # Prefer healthy friends not already holding a shard of this
         # file; fall back to healthy existing holders (a peer holding
-        # two shards beats a shard that does not exist anywhere).
+        # two shards beats a shard that does not exist anywhere). The
+        # sort is stable, so each group keeps the friends' order.
         surviving_holder_names = {
             entry.shard_holders[s.index] for s in survivors}
-        usable = [f for f in self.healthy_friends()
-                  if f.owner_name not in exclude_holders]
-        fresh = [f for f in usable
-                 if f.owner_name not in surviving_holder_names]
-        fallback = [f for f in usable
-                    if f.owner_name in surviving_holder_names]
-        candidates = fresh + fallback
+        candidates = sorted(
+            (f for f in self.friends if f.hpop.running
+             and f.owner_name not in exclude_holders),
+            key=lambda f: f.owner_name in surviving_holder_names)
         if len(candidates) < len(lost):
-            self._c_repairs_failed.inc()
-            on_done(False, 0)
-            return
+            return False
 
-        state = {"left": len(lost), "ok": True, "repaired": 0}
+        def all_placed(results: List[tuple]) -> None:
+            success = all(placed for placed, in results)
+            if success:
+                self._c_repairs_succeeded.inc()
+            else:
+                self._c_repairs_failed.inc()
+            on_done(success, sum(placed for placed, in results))
 
-        def one_placed(success: bool) -> None:
-            state["left"] -= 1
-            state["repaired"] += success
-            state["ok"] = state["ok"] and success
-            if state["left"] == 0:
-                if state["ok"]:
-                    self._c_repairs_succeeded.inc()
-                else:
-                    self._c_repairs_failed.inc()
-                on_done(state["ok"], state["repaired"])
-
+        one = _fan_in(len(lost), all_placed)
         for shard, friend in zip(replacement_shards, candidates):
-            self._place_with_retry(entry, shard, friend, one_placed,
-                                   attempt=1, max_attempts=max_attempts,
-                                   base_backoff=base_backoff)
+            self._place_with_retry(entry, shard, friend, one)
+        return True
 
     def _place_with_retry(self, entry: BackupManifestEntry, shard: Shard,
                           friend: "PeerBackupService",
-                          done: Callable[[bool], None], attempt: int,
-                          max_attempts: int, base_backoff: float) -> None:
-        def retry_or_fail() -> None:
-            if attempt >= max_attempts:
+                          done: Callable[[bool], None],
+                          attempt: int = 1) -> None:
+        def stored(success: bool) -> None:
+            if success:
+                entry.shard_holders[shard.index] = friend.owner_name
+                self._c_shards_repaired.inc()
+                self._c_repair_bytes.inc(len(shard.data))
+                done(True)
+            elif attempt >= MAX_PLACE_ATTEMPTS:
                 done(False)
-                return
-            self._c_repair_retries.inc()
-            delay = base_backoff * (2 ** (attempt - 1))
-            self.sim.schedule(
-                delay,
-                lambda: self._place_with_retry(
-                    entry, shard, friend, done, attempt + 1,
-                    max_attempts, base_backoff),
-                label="backup.repair.retry")
+            else:
+                self._c_repair_retries.inc()
+                self.sim.schedule(
+                    PLACE_BACKOFF * (2 ** (attempt - 1)),
+                    lambda: self._place_with_retry(
+                        entry, shard, friend, done, attempt + 1),
+                    label="backup.repair.retry")
 
-        def stored(resp: HttpResponse, _stats) -> None:
-            if not resp.ok:
-                retry_or_fail()
-                return
-            entry.shard_holders[shard.index] = friend.owner_name
-            self._c_shards_repaired.inc()
-            self._c_repair_bytes.inc(len(shard.data))
-            done(True)
-
-        assert self._client is not None
-        self._client.request(
-            friend.hpop.host,
-            HttpRequest("POST", SHARD_ROUTE,
-                        body={"action": "store",
-                              "owner": entry.owner or self.owner_name,
-                              "path": entry.path, "index": shard.index,
-                              "shard": shard},
-                        body_size=len(shard.data) + 200),
-            stored, port=443, on_error=lambda exc: retry_or_fail())
+        self._store(entry, shard, friend, stored)
 
     def repair_all(self, on_done: Callable[[int, int, int], None]) -> None:
         """Repair every manifest entry; reports (ok, total, shards)."""
-        paths = list(self.manifest)
-        if not paths:
-            self.sim.call_soon(lambda: on_done(0, 0, 0),
-                               label="repair.empty")
-            return
-        counts = {"done": 0, "ok": 0, "shards": 0}
+        self._for_each(list(self.manifest), self.repair_file, on_done,
+                       "repair.empty", (0, 0, 0))
 
-        def one(success: bool, repaired: int) -> None:
-            counts["done"] += 1
-            counts["ok"] += success
-            counts["shards"] += repaired
-            if counts["done"] == len(paths):
-                on_done(counts["ok"], len(paths), counts["shards"])
-
-        for path in paths:
-            self.repair_file(path, one)
-
-    def evacuate_holder(self, name: str,
-                        on_done: Optional[Callable[[int, int], None]] = None,
-                        ) -> int:
+    def evacuate_holder(self, name: str) -> int:
         """Migrate every shard held by friend ``name`` to other friends.
 
         The control plane's answer to a friend whose availability has
         degraded past tolerating: its shards are rebuilt from survivors
         and re-placed elsewhere even though the holder may currently be
-        up. Returns how many manifest entries were affected; ``on_done``
-        (optional) receives (files_ok, files_total) when the repairs
-        finish.
+        up. Returns how many manifest entries were affected.
         """
         paths = [p for p, e in self.manifest.items()
                  if name in e.shard_holders]
         if not paths:
-            if on_done is not None:
-                self.sim.call_soon(lambda: on_done(0, 0),
-                                   label="evacuate.empty")
             return 0
         self._c_holders_evacuated.inc()
         span = self.sim.tracer.start_span(
             "attic.evacuate", parent=None, holder=name, files=len(paths),
             owner=self.owner_name)
-        counts = {"done": 0, "ok": 0}
-
-        def one(success: bool, _repaired: int) -> None:
-            counts["done"] += 1
-            counts["ok"] += success
-            if counts["done"] == len(paths):
-                span.finish(ok=counts["ok"] == len(paths))
-                if on_done is not None:
-                    on_done(counts["ok"], len(paths))
-
+        one = _fan_in(len(paths), lambda results: span.finish(
+            ok=all(success for success, _repaired in results)))
+        away = frozenset({name})
         with self.sim.tracer.activate(span):
             for path in paths:
-                self.repair_file(path, one,
-                                 exclude_holders=frozenset({name}))
+                self.repair_file(path, one, exclude_holders=away)
         return len(paths)
 
     # -- out-of-band probing -----------------------------------------------------------
 
-    def probe_friend(self, name: str,
-                     on_verdict: Optional[Callable[[bool], None]] = None,
-                     timeout: Optional[float] = None) -> None:
+    def probe_friend(self, name: str) -> None:
         """Ping one friend immediately; a miss is a death verdict.
 
         Cross-layer detection: when another subsystem (NoCDN failover,
@@ -791,43 +676,22 @@ class PeerBackupService(HpopService):
         friend = next((f for f in self.friends if f.owner_name == name),
                       None)
         if friend is None or self.monitor is None:
-            if on_verdict is not None:
-                self.sim.call_soon(lambda: on_verdict(False),
-                                   label="probe.unknown")
             return
         self._c_probes_sent.inc()
-        probe_timeout = (timeout if timeout is not None
-                         else self.heartbeat_interval or 1.0)
 
         def verdict(alive: bool) -> None:
             if alive:
-                if self.monitor is not None:
-                    self.monitor.beat(name)
-            else:
-                if (self.monitor is not None
-                        and self.monitor.declare_dead(name)):
-                    self._c_probe_deaths.inc()
-            if on_verdict is not None:
-                on_verdict(alive)
+                self._pong(name, True)
+            elif (self.monitor is not None
+                    and self.monitor.declare_dead(name)):
+                self._c_probe_deaths.inc()
 
-        def pong(resp: HttpResponse, _stats) -> None:
-            verdict(resp.ok)
-
-        assert self._client is not None
-        self._client.request(
-            friend.hpop.host,
-            HttpRequest("POST", SHARD_ROUTE, body={"action": "ping"},
-                        body_size=60),
-            pong, port=443, timeout=probe_timeout,
-            on_error=lambda exc: verdict(False))
+        self._ping(friend, self.heartbeat_interval, verdict)
 
     # -- accounting ---------------------------------------------------------------------
 
     def backed_up_bytes(self) -> int:
         return sum(e.size for e in self.manifest.values())
-
-    def storage_overhead(self) -> float:
-        return self.codec.storage_overhead()
 
 
 def default_slos(source: str = ""):

@@ -8,15 +8,6 @@ transitions alive -> dead (firing ``on_dead``), and a later beat
 transitions it back (firing ``on_alive``). The monitor never does I/O
 itself — the owning service sends the pings — so it is trivially
 deterministic and unit-testable.
-
-Revival is **flap-damped**: by default a single beat revives a dead
-peer (the historical behavior), but a monitor built with
-``revival_beats=N`` demands N consecutive beats (a gap longer than the
-timeout resets the count) and one built with ``revival_cooldown=S``
-refuses to revive until S seconds after the death verdict. Both guards
-compose; a flapping link that lands one stray beat between outages can
-no longer thrash the alive/dead state and the repair machinery behind
-it.
 """
 
 from __future__ import annotations
@@ -29,30 +20,15 @@ class HeartbeatMonitor:
 
     def __init__(self, clock, timeout: float,
                  on_dead: Optional[Callable[[str], None]] = None,
-                 on_alive: Optional[Callable[[str], None]] = None,
-                 revival_beats: int = 1,
-                 revival_cooldown: float = 0.0) -> None:
+                 on_alive: Optional[Callable[[str], None]] = None) -> None:
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if revival_beats < 1:
-            raise ValueError(
-                f"revival_beats must be >= 1, got {revival_beats}")
-        if revival_cooldown < 0:
-            raise ValueError(
-                f"revival_cooldown must be >= 0, got {revival_cooldown}")
         self.clock = clock  # anything with a .now in simulated seconds
         self.timeout = timeout
         self.on_dead = on_dead
         self.on_alive = on_alive
-        self.revival_beats = revival_beats
-        self.revival_cooldown = revival_cooldown
         self.last_seen: Dict[str, float] = {}
         self.alive: Dict[str, bool] = {}
-        self.deaths = 0
-        self.recoveries = 0
-        self._dead_since: Dict[str, float] = {}
-        # consecutive beats a dead peer has accumulated toward revival
-        self._revival_streak: Dict[str, int] = {}
 
     def watch(self, name: str) -> None:
         """Start monitoring ``name``; it gets a grace period of one
@@ -61,42 +37,13 @@ class HeartbeatMonitor:
             self.last_seen[name] = self.clock.now
             self.alive[name] = True
 
-    def forget(self, name: str) -> None:
-        self.last_seen.pop(name, None)
-        self.alive.pop(name, None)
-        self._dead_since.pop(name, None)
-        self._revival_streak.pop(name, None)
-
     def beat(self, name: str) -> None:
-        """Record a successful heartbeat; may revive a dead peer.
-
-        A dead peer revives once it satisfies both damping guards:
-        ``revival_beats`` consecutive beats (no gap longer than the
-        timeout) and ``revival_cooldown`` seconds since the death
-        verdict. The defaults (1 beat, no cooldown) preserve the
-        original revive-on-first-beat behavior.
-        """
-        now = self.clock.now
-        previous = self.last_seen.get(name)
-        self.last_seen[name] = now
-        if self.alive.get(name, True):
-            self.alive[name] = True
-            return
-        streak = self._revival_streak.get(name, 0)
-        if previous is not None and now - previous > self.timeout:
-            streak = 0  # the link dropped out again between beats
-        streak += 1
-        cooled = (now - self._dead_since.get(name, now)
-                  >= self.revival_cooldown)
-        if streak >= self.revival_beats and cooled:
-            self.alive[name] = True
-            self.recoveries += 1
-            self._dead_since.pop(name, None)
-            self._revival_streak.pop(name, None)
-            if self.on_alive is not None:
-                self.on_alive(name)
-        else:
-            self._revival_streak[name] = streak
+        """Record a successful heartbeat; one beat revives a dead peer."""
+        revived = not self.alive.get(name, True)
+        self.last_seen[name] = self.clock.now
+        self.alive[name] = True
+        if revived and self.on_alive is not None:
+            self.on_alive(name)
 
     def sweep(self) -> List[str]:
         """Declare overdue peers dead; returns the newly dead names."""
@@ -123,14 +70,8 @@ class HeartbeatMonitor:
 
     def _mark_dead(self, name: str) -> None:
         self.alive[name] = False
-        self.deaths += 1
-        self._dead_since[name] = self.clock.now
-        self._revival_streak.pop(name, None)
         if self.on_dead is not None:
             self.on_dead(name)
 
     def is_alive(self, name: str) -> bool:
         return self.alive.get(name, False)
-
-    def dead_peers(self) -> List[str]:
-        return sorted(n for n, alive in self.alive.items() if not alive)

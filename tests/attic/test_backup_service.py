@@ -1,10 +1,15 @@
 """Peer-backup service tests: shard placement and restore over the network."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
-from repro.attic.backup_service import PeerBackupService, file_backup_bytes
+from repro.attic.backup_service import (
+    MAX_PLACE_ATTEMPTS,
+    PeerBackupService,
+    file_backup_bytes,
+)
 from repro.attic.service import DataAtticService
 from repro.hpop.core import Household, Hpop, User
 from repro.net.topology import build_city
@@ -80,10 +85,6 @@ class TestBackup:
         owner.backup_all(lambda ok, total: results.append((ok, total)))
         sim.run()
         assert results == [(0, 0)]
-
-    def test_storage_overhead(self):
-        _sim, _city, owner, _services = build(k=4, m=2)
-        assert owner.storage_overhead() == pytest.approx(1.5)
 
 
 class TestRestore:
@@ -219,6 +220,32 @@ class TestRestore:
         sim, _city, owner, _services = build()
         with pytest.raises(KeyError):
             owner.restore_file("/never/backed/up", lambda ok: None)
+
+    def test_restore_decodes_once_with_every_holder_up(self, monkeypatch):
+        sim, _city, owner, _services = self.backed_up_world()
+        owner.hpop.service("attic").dav.tree.delete("/u0/docs/tax.pdf")
+        decodes = []
+        real = owner.codec.decode
+        monkeypatch.setattr(owner.codec, "decode",
+                            lambda shards: decodes.append(1) or real(shards))
+        restored = []
+        owner.restore_file("/u0/docs/tax.pdf", restored.append)
+        sim.run()
+        assert restored == [True]
+        assert len(decodes) == 1  # the k+m-k late shards are dropped
+
+    def test_restored_file_is_written_once_when_it_answers(self):
+        sim, _city, owner, _services = self.backed_up_world()
+        attic = owner.hpop.service("attic")
+        attic.dav.tree.delete("/u0/docs/tax.pdf")
+        answered = []
+        owner.restore_file("/u0/docs/tax.pdf",
+                           lambda ok: answered.append((ok, sim.now)))
+        sim.run()
+        (ok, at), = answered
+        node = attic.dav.tree.lookup("/u0/docs/tax.pdf")
+        assert ok and node.content.version == 1
+        assert node.modified_at == at
 
     def test_friend_accounting(self):
         sim, _city, owner, services = self.backed_up_world()
@@ -398,11 +425,11 @@ class TestRepair:
                 route.handler = wrapper
         results = []
         owner.repair_file("/u0/docs/tax.pdf",
-                          lambda ok, n: results.append((ok, n)),
-                          max_attempts=2)
+                          lambda ok, n: results.append((ok, n)))
         sim.run()
         assert results == [(False, 0)]
-        assert owner.metrics.value("repair_retries") == 1  # attempts-1
+        assert owner.metrics.value("repair_retries") \
+            == MAX_PLACE_ATTEMPTS - 1 == 2
         assert owner.metrics.value("repairs_failed") == 1
 
     def test_repair_unknown_path(self):
@@ -486,6 +513,81 @@ class TestRepair:
         assert len(handed) == rows_coded
 
 
+class TestPinnedSchedule:
+    """One backup → lose three holders → repair → restore round at
+    RS(6,3), pinned to literals: a run-twice test cannot see a
+    reordering of requests or callbacks that both runs share."""
+
+    PATHS = ("/u0/a.bin", "/u0/b.bin")
+
+    def run_round(self):
+        sim, _city, owner, services = build(num_friends=12, k=6, m=3)
+        requests = []
+        real = owner._client.request
+
+        def recording(server, request, *args, **kwargs):
+            body = request.body
+            requests.append((server.name, body.get("action"),
+                             body.get("owner"), body.get("path"),
+                             body.get("index"), request.body_size,
+                             kwargs.get("port"), kwargs.get("timeout")))
+            return real(server, request, *args, **kwargs)
+
+        owner._client.request = recording
+        done = []
+
+        def report(phase, path):
+            return lambda ok, *rest: done.append(
+                (phase, path, ok, *rest, sim.now))
+
+        for path, size in zip(self.PATHS, (kib(60), kib(90))):
+            put_file(owner, path, size)
+            owner.backup_file(path, report("backup", path))
+        sim.run()
+        by_name = {s.owner_name: s for s in services[1:]}
+        holders = owner.manifest[self.PATHS[0]].shard_holders
+        for index in (1, 4, 7):  # two data shards and one parity shard
+            by_name[holders[index]].hpop.shutdown()
+        for path in self.PATHS:
+            owner.repair_file(path, report("repair", path))
+        sim.run()
+        tree = owner.hpop.service("attic").dav.tree
+        for path in self.PATHS:
+            tree.delete(path)
+            owner.restore_file(path, report("restore", path))
+        sim.run()
+        return sim, owner, services, done, requests
+
+    def test_every_answer_lands_at_its_pinned_time(self):
+        sim, owner, services, done, _requests = self.run_round()
+        a, b = self.PATHS
+        assert done == [
+            ("backup", a, True, 0.005548219178082192),
+            ("backup", b, True, 0.006809069589041096),
+            ("repair", a, True, 3, 0.015626728767123288),
+            ("repair", b, True, 3, 0.016805084931506852),
+            ("restore", a, True, 0.020191484931506853),
+            ("restore", b, True, 0.021319004931506853),
+        ]
+        assert sim.events_fired == 279
+        assert owner.shards_sent == 18
+        assert sum(s.bytes_stored_for_friends for s in services[1:]) \
+            == 307200
+        assert {name: owner.metrics.value(name) for name in (
+            "shards_repaired", "repair_bytes", "repair_retries",
+            "repairs_succeeded", "repairs_failed")} == {
+            "shards_repaired": 6, "repair_bytes": 76800,
+            "repair_retries": 0, "repairs_succeeded": 2,
+            "repairs_failed": 0}
+
+    def test_every_request_is_issued_in_its_pinned_order(self):
+        _sim, _owner, _services, _done, requests = self.run_round()
+        assert len(requests) == 54
+        # (holder, action, owner, path, index, body_size, port, timeout)
+        assert hashlib.sha256(repr(requests).encode()).hexdigest() == (
+            "f956d3c6ed4549887e455f38d3470a891f2e793e1902338b0e0827738396c3b3")
+
+
 class TestCanonicalBytes:
     def test_deterministic_and_version_sensitive(self):
         a = file_backup_bytes("/f", 1, 100)
@@ -563,10 +665,8 @@ class TestControlPrimitives:
     def test_probe_friend_beats_monitor_when_alive(self):
         sim, _city, owner, services = self.backed_up_world()
         friend = services[1]
-        verdicts = []
-        owner.probe_friend(friend.owner_name, on_verdict=verdicts.append)
+        owner.probe_friend(friend.owner_name)
         sim.run()
-        assert verdicts == [True]
         assert owner.monitor.is_alive(friend.owner_name)
         assert owner.metrics.value("probes_sent") == 1
         assert owner.metrics.value("probe_deaths") == 0
@@ -575,9 +675,13 @@ class TestControlPrimitives:
         sim, _city, owner, services = self.backed_up_world()
         friend = services[1]
         friend.hpop.shutdown()
-        verdicts = []
-        owner.probe_friend(friend.owner_name, on_verdict=verdicts.append)
+        owner.probe_friend(friend.owner_name)
         sim.run()
-        assert verdicts == [False]
         assert not owner.monitor.is_alive(friend.owner_name)
+        assert owner.metrics.value("probes_sent") == 1
         assert owner.metrics.value("probe_deaths") == 1
+
+    def test_probe_of_a_stranger_sends_nothing(self):
+        sim, _city, owner, _services = self.backed_up_world()
+        owner.probe_friend("nobody-we-know")
+        assert owner.metrics.value("probes_sent") == 0

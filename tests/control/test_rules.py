@@ -66,7 +66,7 @@ class FakeBackup:
         self.evacuated.append(name)
         return 2
 
-    def probe_friend(self, name, on_verdict=None, timeout=None):
+    def probe_friend(self, name):
         self.probed.append(name)
 
 

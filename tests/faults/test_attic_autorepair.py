@@ -1,7 +1,12 @@
 """Attic degradation path: heartbeat timeout detects dead friends and
 auto-repair restores full shard redundancy with capped backoff."""
 
-from repro.attic.backup_service import PeerBackupService
+from repro.attic.backup_service import (
+    MAX_REPAIR_SWEEPS,
+    REPAIR_BACKOFF_BASE,
+    REPAIR_BACKOFF_CAP,
+    PeerBackupService,
+)
 from repro.attic.service import DataAtticService
 from repro.hpop.core import Household, Hpop, User
 from repro.net.topology import build_city
@@ -9,8 +14,7 @@ from repro.sim.engine import Simulator
 from repro.util.units import kib
 
 
-def build(num_friends=6, k=3, m=2, seed=17, heartbeat_interval=1.0,
-          **owner_kwargs):
+def build(num_friends=6, k=3, m=2, seed=17, heartbeat_interval=1.0):
     """Owner (index 0) heartbeats; friends answer pings passively."""
     sim = Simulator(seed=seed)
     city = build_city(sim, homes_per_neighborhood=num_friends + 2)
@@ -22,8 +26,7 @@ def build(num_friends=6, k=3, m=2, seed=17, heartbeat_interval=1.0,
         hpop.install(DataAtticService())
         kwargs = dict(k=k, m=m)
         if i == 0:
-            kwargs.update(heartbeat_interval=heartbeat_interval,
-                          **owner_kwargs)
+            kwargs.update(heartbeat_interval=heartbeat_interval)
         svc = hpop.install(PeerBackupService(**kwargs))
         hpop.start()
         services.append(svc)
@@ -128,16 +131,27 @@ class TestAutoRepair:
         assert owner.metrics.counters["auto_repair_gave_up"].value == 0
 
     def test_gives_up_after_capped_backoff(self):
-        sim, _city, owner, services, _hpops = build(
-            max_repair_sweeps=3, repair_backoff_base=0.5,
-            repair_backoff_cap=2.0)
+        sim, _city, owner, services, _hpops = build()
         backed_up(sim, owner)
         # Kill everyone: repair can never succeed.
         for friend in services[1:]:
             friend.hpop.crash()
+        sweeps = []
+        real_sweep = owner._auto_repair_sweep
+
+        def sweep():
+            sweeps.append(sim.now)
+            real_sweep()
+
+        owner._auto_repair_sweep = sweep
         sim.run_until(sim.now + 120.0)
-        assert owner.metrics.counters["auto_repair_sweeps"].value == 3
+        assert len(sweeps) == MAX_REPAIR_SWEEPS == 6
+        assert owner.metrics.counters["auto_repair_sweeps"].value == 6
         assert owner.metrics.counters["auto_repair_gave_up"].value == 1
+        # 0.5 s after the death verdicts, then doubling: 1, 2, 4, 8, 16.
+        gaps = [round(b - a, 9) for a, b in zip(sweeps, sweeps[1:])]
+        assert gaps == [min(REPAIR_BACKOFF_CAP, REPAIR_BACKOFF_BASE * 2 ** n)
+                        for n in range(1, 6)] == [1.0, 2.0, 4.0, 8.0, 16.0]
         # Time-to-repair is never observed for a failed recovery.
         assert owner.metrics.histograms["time_to_repair_seconds"].count == 0
 

@@ -10,14 +10,13 @@ class Clock:
         self.now = 0.0
 
 
-def make(timeout=3.0, **kwargs):
+def make(timeout=3.0):
     clock = Clock()
     events = []
     monitor = HeartbeatMonitor(
         clock, timeout,
         on_dead=lambda name: events.append(("dead", name)),
-        on_alive=lambda name: events.append(("alive", name)),
-        **kwargs)
+        on_alive=lambda name: events.append(("alive", name)))
     return clock, monitor, events
 
 
@@ -40,11 +39,9 @@ class TestHeartbeatMonitor:
         clock.now = 3.5
         assert monitor.sweep() == ["a"]
         assert not monitor.is_alive("a")
-        assert monitor.dead_peers() == ["a"]
         clock.now = 10.0
         assert monitor.sweep() == []  # no repeated on_dead
         assert events == [("dead", "a")]
-        assert monitor.deaths == 1
 
     def test_beat_keeps_peer_alive(self):
         clock, monitor, events = make(timeout=3.0)
@@ -62,12 +59,12 @@ class TestHeartbeatMonitor:
         monitor.sweep()
         monitor.beat("a")
         assert monitor.is_alive("a")
-        assert monitor.recoveries == 1
         assert events == [("dead", "a"), ("alive", "a")]
+        monitor.beat("a")  # a beat to a live peer revives nothing
         # It can die again after another silence.
         clock.now = 9.0
         assert monitor.sweep() == ["a"]
-        assert monitor.deaths == 2
+        assert events == [("dead", "a"), ("alive", "a"), ("dead", "a")]
 
     def test_sweep_reports_in_sorted_order(self):
         clock, monitor, _events = make(timeout=1.0)
@@ -84,105 +81,6 @@ class TestHeartbeatMonitor:
         clock.now = 4.0
         assert monitor.sweep() == ["a"]
 
-    def test_forget_stops_tracking(self):
-        clock, monitor, events = make(timeout=3.0)
-        monitor.watch("a")
-        monitor.forget("a")
-        clock.now = 10.0
-        assert monitor.sweep() == []
-        assert not monitor.is_alive("a")
-        assert not events
-
-
-class TestFlapDamping:
-    """Revival damping: N consecutive beats and/or a cooldown."""
-
-    def die(self, clock, monitor, name="a", at=4.0):
-        monitor.watch(name)
-        clock.now = at
-        assert monitor.sweep() == [name]
-
-    def test_default_single_beat_revives(self):
-        clock, monitor, events = make(timeout=3.0)
-        self.die(clock, monitor)
-        monitor.beat("a")
-        assert monitor.is_alive("a")
-        assert events == [("dead", "a"), ("alive", "a")]
-
-    def test_revival_beats_requires_streak(self):
-        clock, monitor, events = make(timeout=3.0, revival_beats=3)
-        self.die(clock, monitor)
-        for t in (4.5, 5.0):
-            clock.now = t
-            monitor.beat("a")
-            assert not monitor.is_alive("a")
-        clock.now = 5.5
-        monitor.beat("a")
-        assert monitor.is_alive("a")
-        assert monitor.recoveries == 1
-        assert events == [("dead", "a"), ("alive", "a")]
-
-    def test_beat_gap_resets_streak(self):
-        clock, monitor, events = make(timeout=3.0, revival_beats=2)
-        self.die(clock, monitor)
-        clock.now = 4.5
-        monitor.beat("a")
-        clock.now = 10.0  # > timeout since the last beat: streak resets
-        monitor.beat("a")
-        assert not monitor.is_alive("a")
-        clock.now = 10.5
-        monitor.beat("a")
-        assert monitor.is_alive("a")
-
-    def test_revival_cooldown_blocks_early_beats(self):
-        clock, monitor, events = make(timeout=3.0, revival_cooldown=5.0)
-        self.die(clock, monitor, at=4.0)
-        clock.now = 6.0  # only 2 s after the verdict
-        monitor.beat("a")
-        assert not monitor.is_alive("a")
-        clock.now = 9.0  # 5 s after: eligible
-        monitor.beat("a")
-        assert monitor.is_alive("a")
-        assert events == [("dead", "a"), ("alive", "a")]
-
-    def test_flapping_link_regression(self):
-        """A link that lands one stray beat per outage cycle must not
-        thrash alive/dead (each beat revived instantly before damping)."""
-        clock, monitor, events = make(timeout=3.0, revival_beats=2,
-                                      revival_cooldown=4.0)
-        monitor.watch("a")
-        t = 0.0
-        for _cycle in range(4):
-            t += 4.0
-            clock.now = t
-            monitor.sweep()      # silence -> dead (first cycle only)
-            monitor.beat("a")    # one stray beat gets through
-        # Four flap cycles produced exactly one death and zero revivals.
-        assert monitor.deaths == 1
-        assert events == [("dead", "a")]
-        assert not monitor.is_alive("a")
-        # Sustained beats finally revive it.
-        for dt in (0.5, 1.0):
-            clock.now = t + dt
-            monitor.beat("a")
-        assert monitor.is_alive("a")
-        assert monitor.recoveries == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HeartbeatMonitor(Clock(), 3.0, revival_beats=0)
-        with pytest.raises(ValueError):
-            HeartbeatMonitor(Clock(), 3.0, revival_cooldown=-1.0)
-
-    def test_forget_clears_damping_state(self):
-        clock, monitor, _events = make(timeout=3.0, revival_beats=2)
-        self.die(clock, monitor)
-        clock.now = 4.5
-        monitor.beat("a")
-        monitor.forget("a")
-        assert monitor._revival_streak == {}
-        assert monitor._dead_since == {}
-
 
 class TestDeclareDead:
     def test_out_of_band_verdict_fires_on_dead(self):
@@ -190,7 +88,6 @@ class TestDeclareDead:
         monitor.watch("a")
         assert monitor.declare_dead("a") is True
         assert not monitor.is_alive("a")
-        assert monitor.deaths == 1
         assert events == [("dead", "a")]
 
     def test_already_dead_or_unknown_is_noop(self):
@@ -199,16 +96,4 @@ class TestDeclareDead:
         monitor.declare_dead("a")
         assert monitor.declare_dead("a") is False
         assert monitor.declare_dead("stranger") is False
-        assert monitor.deaths == 1
-
-    def test_declared_dead_peer_respects_damping_on_revival(self):
-        clock, monitor, events = make(timeout=3.0, revival_cooldown=5.0)
-        monitor.watch("a")
-        clock.now = 2.0
-        monitor.declare_dead("a")
-        clock.now = 4.0
-        monitor.beat("a")  # 2 s after the verdict: still cooling down
-        assert not monitor.is_alive("a")
-        clock.now = 7.0
-        monitor.beat("a")
-        assert monitor.is_alive("a")
+        assert events == [("dead", "a")]

@@ -66,6 +66,12 @@ CLONE_MIN_CHARS = 160   # shorter windows are boilerplate, not logic
 # one. Never raise it — share the code (a weak periodic task is
 # ``Process.every``, not a hand-written start/stop/_tick loop).
 MAX_CLONE_WINDOWS = 2
+# A second, finer tier: shorter windows catch a hand-built request or a
+# counter dict written out once per caller. Left at this bound:
+# cdn/baselines.py ↔ iah/browser.py and webdav/server.py with itself.
+SHORT_CLONE_WINDOW = 5
+SHORT_CLONE_MIN_CHARS = 110
+MAX_SHORT_CLONE_WINDOWS = 4
 
 _STRING = re.compile(
     r'''[rbfuRBFU]*(""".*?"""|\'\'\'.*?\'\'\'|"[^"\n]*"|'[^'\n]*')''', re.S)
@@ -81,14 +87,14 @@ def _code_lines(path):
             if line and line != "S" and not line.startswith("#")]
 
 
-def clone_windows(root):
+def clone_windows(root, size=CLONE_WINDOW, min_chars=CLONE_MIN_CHARS):
     """{(file, file): windows that occur in both, or twice in one}."""
     places = {}
     for path in sorted(root.rglob("*.py")):
         lines = _code_lines(path)
-        for i in range(len(lines) - CLONE_WINDOW + 1):
-            window = "\n".join(lines[i:i + CLONE_WINDOW])
-            if len(window) >= CLONE_MIN_CHARS:
+        for i in range(len(lines) - size + 1):
+            window = "\n".join(lines[i:i + size])
+            if len(window) >= min_chars:
                 places.setdefault(window, []).append(
                     (str(path.relative_to(root)), i))
     pairs = {}
@@ -96,7 +102,7 @@ def clone_windows(root):
         first_file, first_line = found[0]
         for file, line in found[1:]:
             # Overlapping windows of one run are not a second place.
-            if file != first_file or line - first_line >= CLONE_WINDOW:
+            if file != first_file or line - first_line >= size:
                 pairs[first_file, file] = pairs.get((first_file, file), 0) + 1
                 break
     return pairs
@@ -108,6 +114,171 @@ def test_no_file_pair_shares_more_clone_windows_than_the_ratchet():
     assert ("repro/transport/mptcp.py", "repro/transport/tcp.py") not in pairs
     over = {pair: n for pair, n in pairs.items() if n > MAX_CLONE_WINDOWS}
     assert not over, f"literal clones above the ratchet: {over}"
+
+
+def test_no_file_pair_shares_more_short_clone_windows_than_the_ratchet():
+    pairs = clone_windows(REPO / "src", SHORT_CLONE_WINDOW,
+                          SHORT_CLONE_MIN_CHARS)
+    assert pairs  # the scan really finds repeated windows
+    # Peer backup's exchanges share one RPC and one fan-in helper.
+    backup = "repro/attic/backup_service.py"
+    assert (backup, backup) not in pairs
+    over = {pair: n for pair, n in pairs.items()
+            if n > MAX_SHORT_CLONE_WINDOWS}
+    assert not over, f"short literal clones above the ratchet: {over}"
+
+
+# -- knobs only tests set -----------------------------------------------------
+
+CALLER_ROOTS = ("src", "scripts", "benchmarks", "examples")
+# ``__init__`` parameters with a default that no call outside tests/
+# passes, as ``file:Class.param`` under src/. The list may only shrink:
+# make a knob nothing sets a constant, or delete its entry once a real
+# caller passes it. PeerBackupService's six and HeartbeatMonitor's two
+# flap-damping parameters were the last to go.
+KNOBS_ONLY_TESTS_SET = frozenset({
+    "repro/attic/backup.py:ColdCloudBackup.restore_latency",
+    "repro/attic/cloudmirror.py:EncryptedCloudStore.port",
+    "repro/attic/cloudmirror.py:KeyEscrowService.release_ttl",
+    "repro/attic/driver.py:AtticDriver.via_path",
+    "repro/cdn/baselines.py:CdnEdge.port",
+    "repro/control/controller.py:Controller.metrics",
+    "repro/control/controller.py:Controller.name",
+    "repro/dcol/collective.py:DetourCollective.expel_after_reports",
+    "repro/dcol/collective.py:DetourCollective.name",
+    "repro/dcol/manager.py:DetourManager.factory",
+    "repro/dcol/tunnels.py:NatTunnelServer.first_port",
+    "repro/faults/injector.py:FaultInjector.metrics",
+    "repro/hpop/core.py:Hpop.name",
+    "repro/iah/history.py:InterestProfile.half_life",
+    "repro/iah/service.py:InternetAtHomeService.cache_bytes",
+    "repro/iah/service.py:InternetAtHomeService.smoother",
+    "repro/iah/service.py:InternetAtHomeService.upstream_timeout",
+    "repro/iah/web.py:Website.object_ttl",
+    "repro/iah/web.py:Website.port",
+    "repro/naming/dns.py:RequestRoutingZone.ttl",
+    "repro/nat/devices.py:NatDevice.first_public_port",
+    "repro/nat/traversal.py:TurnServer.first_relay_port",
+    "repro/nocdn/directory.py:ContentDirectory.metrics",
+    "repro/nocdn/peer.py:NoCdnPeerService.forward_timeout",
+    "repro/nocdn/peer.py:NoCdnPeerService.upload_interval",
+    "repro/nocdn/selection.py:TrustWeightedSelection.floor",
+    "repro/nocdn/strategy.py:HashRing.vnodes",
+    "repro/nocdn/strategy.py:ReplicateHotStrategy.hot_k",
+    "repro/obs/sampling.py:ExemplarStore.per_metric",
+    "repro/obs/slo.py:SloMonitor.metrics",
+    "repro/obs/timeseries.py:TimeSeriesDB.max_points",
+    "repro/obs/timeseries.py:TimeSeriesDB.quantiles",
+    "repro/transport/tcp.py:TcpConnection.rng_stream",
+    "repro/transport/tcp.py:TcpFlow.overhead_per_packet",
+    "repro/transport/tcp.py:TcpFlow.start",
+    "repro/workloads/diurnal.py:DiurnalCurve.hourly",
+    "repro/workloads/fleet.py:HomeMetricsPool.stream",
+})
+
+
+def _callee(func):
+    """The name a call is made by: ``f(...)`` or ``obj.f(...)``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def init_knobs():
+    """{class name: [(``file:Class.param``, param, position or None)]}
+    for every ``__init__`` parameter with a default of a src/ class."""
+    knobs = {}
+    for path, tree in _trees("src"):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            init = next((node for node in cls.body
+                         if isinstance(node, ast.FunctionDef)
+                         and node.name == "__init__"), None)
+            if init is None:
+                continue
+            args = init.args
+            positional = (args.posonlyargs + args.args)[1:]  # not self
+            first = len(positional) - len(args.defaults)
+            where = f"{path.relative_to(REPO / 'src')}:{cls.name}"
+            found = [(f"{where}.{arg.arg}", arg.arg, i)
+                     for i, arg in enumerate(positional) if i >= first]
+            found += [(f"{where}.{arg.arg}", arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs,
+                                              args.kw_defaults)
+                      if default is not None]
+            knobs.setdefault(cls.name, []).extend(found)
+    return knobs
+
+
+def knobs_only_tests_set():
+    """``__init__`` parameters with defaults that no call in
+    ``CALLER_ROOTS`` passes.
+
+    Calls are matched to classes by name. A parameter is passed when a
+    call gives it by keyword or position, when a call spreads ``*`` or
+    ``**`` into the class, or when a subclass passes it through
+    ``super().__init__`` / ``Base.__init__(self, ...)``; ``cls(...)``
+    inside a class counts as a call to it.
+    """
+    knobs = init_knobs()
+    passed = {}  # class name -> (most positional, keywords, spread)
+
+    def credit(name, call, skip=0):
+        if name not in knobs:
+            return
+        most, keywords, spread = passed.get(name, (0, set(), False))
+        spread = spread or any(
+            isinstance(arg, ast.Starred) for arg in call.args) or any(
+            kw.arg is None for kw in call.keywords)
+        passed[name] = (max(most, len(call.args) - skip),
+                        keywords | {kw.arg for kw in call.keywords}, spread)
+
+    for _path, tree in _trees(*CALLER_ROOTS):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = [_callee(base) for base in cls.bases]
+            for call in ast.walk(cls):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Attribute) \
+                        and func.attr == "__init__":
+                    if isinstance(func.value, ast.Call) \
+                            and _callee(func.value.func) == "super":
+                        for base in bases:
+                            credit(base, call)
+                    elif _callee(func.value) in bases:
+                        credit(_callee(func.value), call, skip=1)
+                elif getattr(func, "id", "") == "cls":
+                    credit(cls.name, call)
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                credit(_callee(call.func), call)
+    unpassed = set()
+    for name, params in knobs.items():
+        most, keywords, spread = passed.get(name, (0, set(), False))
+        if not spread:
+            unpassed |= {label for label, param, position in params
+                         if param not in keywords
+                         and (position is None or position >= most)}
+    return unpassed
+
+
+def test_no_new_knob_that_only_tests_set():
+    found = knobs_only_tests_set()
+    assert "repro/hpop/core.py:Hpop.name" in found  # the scan really finds
+    assert found <= KNOBS_ONLY_TESTS_SET, (
+        f"new knobs only tests set: {sorted(found - KNOBS_ONLY_TESTS_SET)}")
+    # An entry whose parameter is gone leaves the list, so the knob
+    # cannot come back under cover of a stale line.
+    existing = {label for params in init_knobs().values()
+                for label, _param, _position in params}
+    assert KNOBS_ONLY_TESTS_SET <= existing, sorted(
+        KNOBS_ONLY_TESTS_SET - existing)
 
 
 # -- numpy is loaded by the first long shard, and by nothing else ------------
