@@ -3,7 +3,7 @@
 
 Answers the governing question of the fleet observability stack: what
 does *full* observability — lite tracing with tail-based sampling,
-per-home metric registries folded into cohort rollups, a TSDB scraping
+per-home metric columns folded into cohort rollups, a TSDB scraping
 on a cadence, exemplar capture, and a burn-rate SLO monitor — cost on
 top of the bare engine at fleet scale, and is every error and fault
 trace still retained at a 2% hash-sampling rate?

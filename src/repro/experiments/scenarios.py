@@ -124,7 +124,7 @@ def run_fleet_cell(seed: int, params: Mapping[str, Any],
     Params: ``homes``, ``focus_homes``, ``sim_seconds``, plus the
     fleet-observability ride-alongs (all default-off, keeping the
     classic export bytes): ``per_home_metrics`` folds every idle
-    home's registry into per-cohort rollups (``rollup_k`` /
+    home's metric columns into per-cohort rollups (``rollup_k`` /
     ``rollup_every`` tune the governor), ``requests`` drives a
     focus-home HTTP load, and ``sampling`` (a rate) tail-samples the
     trace into ``trace.jsonl``.

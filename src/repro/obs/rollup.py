@@ -1,21 +1,20 @@
-"""Metric cardinality governor: cohort rollups and heavy hitters.
+"""Metric cardinality governor: columnar cohort rollups and heavy hitters.
 
 ROADMAP item 1's constraint — scrape cost must not grow with fleet
 size — dies the moment every one of 100k background homes gets its own
-TSDB series per metric. This module folds background-home registries
-into **cohort rollup series** (counters sum, gauges average across the
-cohort) plus a deterministic **space-saving top-k sketch** of the
-loudest homes, which alone keep per-home series. Per-scrape row count
-is then ``O(focus + cohorts * metrics + k)`` instead of
-``O(homes * metrics)``.
+TSDB series per metric. A :class:`RollupCohort` holds one idle cohort's
+per-home metrics as **columns** — one ``array('d')`` per metric, one
+slot per member — and folds them into **cohort rollup series**
+(counters sum, gauges average across the cohort) plus a deterministic
+**space-saving top-k sketch** of the loudest members, which alone keep
+per-member series. Per-scrape row count is then ``O(focus + cohorts *
+metrics + k)`` instead of ``O(homes * metrics)``, and a member costs
+one slot per column instead of a registry of Python objects.
 
-Loudness needs no extra instrumentation: every
-:class:`~repro.metrics.counters.MetricsRegistry` already bumps a
-``version`` on mutation, so the version delta between scrapes is a
-free per-home activity signal. The fold is incremental on the same
-contract — members whose version has not moved since the last cohort
-scrape are skipped entirely (their cached contribution stands), so a
-quiet fleet costs one integer compare per member.
+Every write goes through :meth:`RollupCohort.inc` or
+:meth:`RollupCohort.set`, which count one mutation against the member.
+Those pending counts are both the dirty set (a fold visits only
+members that have one) and the loudness signal the sketch ranks on.
 
 Everything here is deterministic: no RNG, eviction ties in the sketch
 break on the member name, and rollup rows emit name-sorted.
@@ -23,9 +22,8 @@ break on the member name, and rollup rows emit name-sorted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
-
-from repro.metrics.counters import MetricsRegistry
+from array import array
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class SpaceSaving:
@@ -87,222 +85,95 @@ class SpaceSaving:
 
 
 class RollupCohort:
-    """A named set of member registries folded into rollup series.
+    """``size`` members' metrics as columns, folded into rollup series.
 
-    Register with :meth:`TimeSeriesDB.add_rollup`; each cohort scrape
-    (every ``every`` DB ticks) contributes:
+    ``schema`` is the members' ``(metric name, kind)`` pairs, in the
+    order a member's own rows are written; ``columns[j]`` holds metric
+    ``j`` for every member, all zero at the start. Member ``i`` is
+    named ``{name}h{i}``. Register with :meth:`TimeSeriesDB.add_rollup`;
+    each cohort scrape (every ``every`` DB ticks) contributes:
 
     - ``cohort:{name}/{metric}`` — counters summed, gauges averaged
       across all members,
     - ``cohort:{name}/rollup.members`` / ``rollup.changed`` — fold
       bookkeeping gauges,
     - ``{member}/{metric}`` — full-resolution per-member series, but
-      *only* for the current top-``k`` loudest members (by version
-      delta) in the space-saving sketch.
+      *only* for the current top-``k`` loudest members (by mutations
+      since their last fold) in the space-saving sketch.
     """
 
-    def __init__(self, name: str, k: int = 8, every: int = 1) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
+    def __init__(self, name: str, size: int,
+                 schema: Sequence[Tuple[str, str]], k: int = 8,
+                 every: int = 1) -> None:
+        if every < 1 or size < 1:
+            raise ValueError(f"every and size must be >= 1: {every}, {size}")
+        names = {metric for metric, _kind in schema}
+        if len(names) != len(schema) or any(
+                kind not in ("counter", "gauge") for _m, kind in schema):
+            raise ValueError(f"bad cohort schema {schema}")
         self.name = name
+        self.size = size
         self.every = every
+        self.schema = tuple(schema)
         self.sketch = SpaceSaving(k)
-        self._members: List[Tuple[str, MetricsRegistry]] = []
-        self._registries: List[MetricsRegistry] = []
-        self._index: Dict[str, int] = {}
-        self._versions: List[int] = []
-        self._cached: List[Optional[List[Tuple[str, str, float]]]] = []
-        self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-        self._kinds: Dict[str, str] = {}
-        # Opt-in O(changed) fold: when not None, only members whose
-        # source was passed to touch() since the last fold (plus the
-        # fn-gauge members, whose values can move without a version
-        # bump) are rescanned — no full member walk at all.
-        self._touched: Optional[set] = None
-        self._fn_watch: set = set()
-        # Differential rescan cache: for members whose registry holds
-        # only plain counters/gauges, [name, kind, metric, last_value]
-        # entries let a rescan fold value deltas directly instead of
-        # rebuilding a full snapshot (names and metric objects are
-        # stable, so the per-rescan cost is a few attribute reads).
-        self._fast: List[Optional[List[List[Any]]]] = []
-        self.folds = 0
-        self.members_rescanned = 0
+        self.columns = [array("d", bytes(8 * size)) for _ in schema]
+        # Member index -> mutations since its last fold.
+        self._pending: Dict[int, int] = {}
+        # The column values the last fold saw; None before the first.
+        self._folded: Optional[List[array]] = None
+        self._totals = [0.0] * len(schema)
 
-    def add_member(self, source: str,
-                   registry: MetricsRegistry) -> "RollupCohort":
-        if not source:
-            raise ValueError("cohort members need a non-empty source name")
-        if source in self._index:
-            raise ValueError(f"duplicate cohort member {source!r}")
-        index = len(self._members)
-        self._index[source] = index
-        self._members.append((source, registry))
-        self._registries.append(registry)
-        self._versions.append(-1)      # force a first fold
-        self._cached.append(None)
-        self._fast.append(None)
-        if registry.fn_gauges:
-            self._fn_watch.add(index)
-        if self._touched is not None:
-            self._touched.add(index)
-        return self
+    def inc(self, metric: int, member: int, amount: float) -> None:
+        """Add ``amount`` to counter column ``metric`` for ``member``."""
+        if amount < 0 or self.schema[metric][1] != "counter":
+            raise ValueError(f"{self.schema[metric][0]}: only a counter "
+                             f"is inc'd, by >= 0 (inc by {amount})")
+        self.columns[metric][member] += amount
+        self._pending[member] = self._pending.get(member, 0) + 1
 
-    def enable_touch(self) -> set:
-        """Switch to push-based change tracking (O(changed) folds).
-
-        After this, a member mutated without a matching :meth:`touch`
-        call is **not** picked up until its next touch — callers own
-        the notification contract (``HomeMetricsPool`` does this).
-        Members with registered fn gauges at add time are always
-        rescanned; fn gauges added later need a touch per fold.
-
-        Returns the live dirty set: hot instrumentation loops may
-        ``add()`` member indexes to it directly, skipping even the
-        :meth:`touch_index` call. The set object is stable for the
-        cohort's lifetime (folds clear it in place).
-        """
-        if self._touched is None:
-            self._touched = set(range(len(self._members)))
-        return self._touched
-
-    def touch(self, source: str) -> None:
-        """Mark a member dirty for the next fold (touch mode only)."""
-        if self._touched is not None:
-            self._touched.add(self._index[source])
-
-    def touch_index(self, index: int) -> None:
-        """Index-addressed :meth:`touch` for hot instrumentation loops."""
-        if self._touched is not None:
-            self._touched.add(index)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    # -- folding -----------------------------------------------------------
-
-    def _changed_indices(self) -> List[int]:
-        """Member indexes that need a rescan this fold."""
-        if self._touched is not None:
-            dirty = sorted(self._touched | self._fn_watch)
-            # clear(), not rebind: enable_touch() handed this set out.
-            self._touched.clear()
-            return dirty
-        # Scan mode: snapshot every version in one C-level pass and
-        # early-out when nothing moved — at fleet scale most folds on
-        # most cohorts see a handful of changes, and the comparison
-        # must not cost a Python-level loop per member.
-        versions = self._versions
-        current = [registry.version for registry in self._registries]
-        if current == versions and not self._fn_watch:
-            return []
-        return [i for i, (now, before)
-                in enumerate(zip(current, versions))
-                if now != before or i in self._fn_watch]
+    def set(self, metric: int, member: int, value: float) -> None:
+        """Set gauge column ``metric`` for ``member`` to ``value``."""
+        if self.schema[metric][1] != "gauge":
+            raise ValueError(f"{self.schema[metric][0]} is not a gauge")
+        self.columns[metric][member] = value
+        self._pending[member] = self._pending.get(member, 0) + 1
 
     def _fold(self) -> int:
-        """Refresh totals from members whose version moved; returns how
-        many members were rescanned."""
-        changed = 0
-        totals, counts, kinds = self._totals, self._counts, self._kinds
-        members, registries = self._members, self._registries
-        versions, fasts = self._versions, self._fast
-        for i in self._changed_indices():
-            registry = registries[i]
-            version = registry.version
-            previous = versions[i]
-            if version == previous and not registry.fn_gauges:
-                continue
-            changed += 1
-            fast = fasts[i]
-            if (fast is not None and not registry.fn_gauges
-                    and not registry.histograms
-                    and len(registry.counters) + len(registry.gauges)
-                    == len(fast)):
-                # Differential rescan: same metric set as last time, so
-                # fold only the value deltas.
-                for entry in fast:
-                    value = entry[2].value
-                    if value != entry[3]:
-                        totals[entry[0]] += value - entry[3]
-                        entry[3] = value
-            else:
-                self._rescan_full(i, registry, totals, counts, kinds)
-            # The first fold sees the registration-time version (metric
-            # creation, initial sets) — that is setup, not activity, so
-            # it does not feed the loudness sketch.
-            if previous >= 0 and version > previous:
-                self.sketch.offer(members[i][0], float(version - previous))
-            versions[i] = version
-        self.folds += 1
-        self.members_rescanned += changed
+        """Bring the totals up to the columns; returns members folded."""
+        pending, columns, totals = self._pending, self.columns, self._totals
+        folded = self._folded
+        if folded is None:
+            # Registration is setup, not loudness: the first fold adds
+            # each column whole and offers nothing to the sketch.
+            self._folded = [array("d", column) for column in columns]
+            self._totals = [sum(column) for column in columns]
+            pending.clear()
+            return self.size
+        for i in sorted(pending):
+            for j, column in enumerate(columns):
+                value = column[i]
+                if value != folded[j][i]:
+                    totals[j] += value - folded[j][i]
+                    folded[j][i] = value
+            self.sketch.offer(f"{self.name}h{i}", float(pending[i]))
+        changed = len(pending)
+        pending.clear()
         return changed
-
-    def _rescan_full(self, i: int, registry: MetricsRegistry,
-                     totals: Dict[str, float], counts: Dict[str, int],
-                     kinds: Dict[str, str]) -> None:
-        """Snapshot-based rescan (first fold, or metric set changed)."""
-        old_rows = (self._member_rows(i) if self._fast[i] is not None
-                    else self._cached[i])
-        self._fast[i] = None
-        if old_rows is not None:
-            for name, _kind, value in old_rows:
-                totals[name] -= value
-                counts[name] -= 1
-        # No quantiles for background members: exact histogram
-        # quantiles sort samples, exactly the per-home cost the
-        # governor exists to avoid. _count/_sum still roll up.
-        new_rows = registry.snapshot_series(())
-        for name, kind, value in new_rows:
-            if name in totals:
-                totals[name] += value
-                counts[name] += 1
-            else:
-                totals[name] = value
-                counts[name] = 1
-                kinds[name] = kind
-        self._cached[i] = new_rows
-        if not registry.histograms and not registry.fn_gauges:
-            prefix = (f"{registry.namespace}."
-                      if registry.namespace else "")
-            fast: List[List[Any]] = []
-            for name, counter in registry.counters.items():
-                fast.append([f"{prefix}{name}", "counter", counter,
-                             counter.value])
-            for name, gauge in registry.gauges.items():
-                fast.append([f"{prefix}{name}", "gauge", gauge,
-                             gauge.value])
-            self._fast[i] = fast
-
-    def _member_rows(self, i: int) -> Optional[List[Tuple[str, str, float]]]:
-        """This member's last-folded rows (fast cache wins when set)."""
-        fast = self._fast[i]
-        if fast is not None:
-            return [(name, kind, value) for name, kind, _m, value in fast]
-        return self._cached[i]
 
     def scrape_rows(self) -> List[Tuple[str, str, float]]:
         """All rows this cohort contributes to one TSDB scrape."""
         changed = self._fold()
         prefix = f"cohort:{self.name}/"
-        rows: List[Tuple[str, str, float]] = []
-        for name in sorted(self._totals):
-            kind = self._kinds[name]
-            value = self._totals[name]
-            if kind == "gauge":
-                count = self._counts[name]
-                if count <= 0:
-                    continue
-                value /= count
-            rows.append((f"{prefix}{name}", kind, value))
-        rows.append((f"{prefix}rollup.members", "gauge",
-                     float(len(self._members))))
+        rows: List[Tuple[str, str, float]] = [
+            (f"{prefix}{metric}", kind,
+             total / self.size if kind == "gauge" else total)
+            for (metric, kind), total in sorted(zip(self.schema,
+                                                    self._totals))]
+        rows.append((f"{prefix}rollup.members", "gauge", float(self.size)))
         rows.append((f"{prefix}rollup.changed", "gauge", float(changed)))
+        skip = len(self.name) + 1
         for source, _count, _error in self.sketch.top():
-            cached = self._member_rows(self._index[source])
-            if cached is None:
-                continue
-            rows.extend((f"{source}/{name}", kind, value)
-                        for name, kind, value in cached)
+            i = int(source[skip:])
+            rows.extend((f"{source}/{metric}", kind, self._folded[j][i])
+                        for j, (metric, kind) in enumerate(self.schema))
         return rows

@@ -25,7 +25,7 @@ Design notes
   same seed produce byte-identical files — asserted by
   ``tests/integration/test_quickstart_exports.py`` and the chaos
   telemetry test.
-- **Bounded memory.** Each series holds at most ``max_points`` points.
+- **Bounded memory.** Each series holds at most ``MAX_POINTS`` points.
   On overflow the oldest half is collapsed pairwise (resolution
   doubles), so a series always spans the whole run with fine detail at
   the recent end — a classic RRD-style bound without wall-clock input.
@@ -40,6 +40,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.metrics.counters import MetricsRegistry
 
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.99)
+# Points kept per series before the oldest half is downsampled.
+MAX_POINTS = 512
 
 
 class Series:
@@ -154,24 +156,19 @@ class TimeSeriesDB:
     """Bounded in-memory TSDB fed by periodic registry scrapes.
 
     ``interval`` is the scrape cadence in simulated seconds;
-    ``max_points`` bounds every series. Call :meth:`add_registry` for
+    :data:`MAX_POINTS` bounds every series, and histograms are sampled
+    at :data:`DEFAULT_QUANTILES`. Call :meth:`add_registry` for
     each registry (with a ``source`` to disambiguate fleet members),
     then :meth:`start`. Scrapes ride the event heap as *weak* events:
     they sample whenever strong work is in flight but never keep
     ``run()`` from reaching quiescence.
     """
 
-    def __init__(self, sim: Any, interval: float = 1.0,
-                 max_points: int = 512,
-                 quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
+    def __init__(self, sim: Any, interval: float = 1.0) -> None:
         if interval <= 0:
             raise ValueError(f"scrape interval must be positive: {interval}")
-        if max_points < 4:
-            raise ValueError(f"max_points must be >= 4: {max_points}")
         self.sim = sim
         self.interval = interval
-        self.max_points = max_points
-        self.quantiles = tuple(quantiles)
         self.series: Dict[str, Series] = {}
         self.scrapes = 0
         self._sources: List[Tuple[str, MetricsRegistry]] = []
@@ -250,7 +247,7 @@ class TimeSeriesDB:
                 prefix = f"{source}/" if source else ""
                 rows = [(f"{prefix}{name}", kind, value)
                         for name, kind, value
-                        in registry.snapshot_series(self.quantiles)]
+                        in registry.snapshot_series(DEFAULT_QUANTILES)]
                 cache[index] = (version, rows)
             for name, kind, value in rows:
                 self._append(name, kind, now, value)
@@ -271,7 +268,7 @@ class TimeSeriesDB:
         series = self.series.get(name)
         if series is None:
             self.series[name] = series = Series(name, kind)
-        series.append(t, value, self.max_points)
+        series.append(t, value, MAX_POINTS)
 
     # -- queries ----------------------------------------------------------
 

@@ -22,8 +22,9 @@ mean_rates`), the cohort total is Gamma(n, mean) — one RNG draw and one
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 from repro.metrics.counters import MetricsRegistry
 from repro.net.link import Link
@@ -53,7 +54,7 @@ class FleetSpec:
     devices_per_focus_home: int = 1
     focus_hpops: bool = True
     profile: HouseholdProfile = field(default_factory=HouseholdProfile.typical)
-    # Per-home metric registries for the idle cohorts, governed by one
+    # Per-home metrics for the idle cohorts, held as columns by one
     # RollupCohort per neighborhood (repro.obs.rollup). Off by default:
     # existing fleet scenarios keep their seeded exports byte-identical.
     per_home_metrics: bool = False
@@ -151,33 +152,41 @@ class BackgroundAggregate:
         self._last = now
 
 
+# A home's metrics, in the order its own rows are written; the pool
+# writes them by position.
+HOME_METRICS = (("home.wan_bytes_down", "counter"),
+                ("home.wan_bytes_up", "counter"),
+                ("home.devices_online", "gauge"))
+_DOWN, _UP, _DEVICES = range(len(HOME_METRICS))
+
+
 class HomeMetricsPool:
-    """Per-home metric registries for one idle cohort, rollup-governed.
+    """Per-home metrics for one idle cohort, rollup-governed.
 
     The cardinality governor (:mod:`repro.obs.rollup`) needs something
-    to govern: real per-home registries with skewed activity. Each
-    represented home gets a tiny registry (WAN byte counters plus a
-    devices gauge) that the pool advances deterministically every tick
-    — pure :func:`~repro.obs.sampling.trace_hash` arithmetic, no RNG,
-    so the fold inputs (and therefore the rollup rows and sketch state)
-    never depend on scheduling.
+    to govern: per-home metrics with skewed activity. Each represented
+    home is one slot in its cohort's columns (WAN byte counters plus a
+    devices gauge, :data:`HOME_METRICS`) that the pool advances
+    deterministically every tick — pure
+    :func:`~repro.obs.sampling.trace_hash` arithmetic, no RNG, so the
+    fold inputs (and therefore the rollup rows and sketch state) never
+    depend on scheduling. No per-home object exists.
 
     Activity is deliberately skewed so the top-k sketch has something
     to find: ``hot`` hash-chosen homes mutate every tick with large
     per-home weights (the heavy hitters the sketch must surface) while
     the rest mutate in a slice of ``churn`` homes that rotates every
-    ``rotate`` ticks — which also bounds the incremental fold to
-    O(hot + churn) members per scrape instead of O(n).
+    ``rotate`` ticks — which also bounds each fold to O(hot + churn)
+    members instead of O(n).
     """
 
     __slots__ = ("sim", "cohort", "num_homes", "tick", "_hot", "_churn",
-                 "_rotate", "_salt", "_stream", "_process", "_registries",
-                 "_ticks", "_dirty", "_steps")
+                 "_rotate", "_salt", "_stream", "_process", "_ticks",
+                 "_steps")
 
     def __init__(self, sim: Simulator, index: int, num_homes: int,
                  tick: float = 1.0, hot: int = 2, churn: int = 8,
-                 rotate: int = 8, k: int = 8, every: int = 1,
-                 stream: Optional[str] = None) -> None:
+                 rotate: int = 8, k: int = 8, every: int = 1) -> None:
         if num_homes <= 0:
             raise ValueError(f"num_homes must be positive: {num_homes}")
         if rotate < 1:
@@ -187,31 +196,19 @@ class HomeMetricsPool:
         self.tick = tick
         self._rotate = rotate
         self._salt = index
-        self._stream = stream or f"fleet.pool{index}"
+        self._stream = f"fleet.pool{index}"
         self._process = Process(sim, self._stream)
         self._ticks = 0
-        self.cohort = RollupCohort(f"n{index}", k=k, every=every)
-        self._registries: List[MetricsRegistry] = []
-        for i in range(num_homes):
-            registry = MetricsRegistry(namespace="home")
-            registry.counter("wan_bytes_down", "downstream WAN bytes")
-            registry.counter("wan_bytes_up", "upstream WAN bytes")
-            registry.gauge("devices_online", "devices currently online")
-            self._registries.append(registry)
-            self.cohort.add_member(f"n{index}h{i}", registry)
-        # The pool is the only writer to these registries, so it can
-        # own the touch contract: folds become O(hot + churn), never
-        # a full member walk. Adding to the live dirty set keeps the
-        # per-bump notification to one set.add.
-        self._dirty = self.cohort.enable_touch()
+        self.cohort = RollupCohort(f"n{index}", num_homes, HOME_METRICS,
+                                   k=k, every=every)
         # The hot set is the `hot` smallest home indices by hash order —
         # a pure function of (index, salt), stable across runs.
         ranked = sorted(range(num_homes),
                         key=lambda i: (trace_hash(i, self._salt), i))
         self._hot = ranked[:min(hot, num_homes)]
         self._churn = min(churn, num_homes)
-        self._steps = [float(1 + trace_hash(i, self._salt + 1) % 7)
-                       for i in range(num_homes)]
+        self._steps = array("d", (1 + trace_hash(i, self._salt + 1) % 7
+                                  for i in range(num_homes)))
 
     def start(self) -> "HomeMetricsPool":
         self._process.every(self.tick, self._tick, label=self._stream)
@@ -220,23 +217,17 @@ class HomeMetricsPool:
     def stop(self) -> None:
         self._process.stop()
 
-    def registry(self, home: int) -> MetricsRegistry:
-        return self._registries[home]
-
     def _bump(self, home: int, heavy: bool) -> None:
-        registry = self._registries[home]
-        self._dirty.add(home)
+        cohort = self.cohort
         step = self._steps[home]
-        down = registry.counters["wan_bytes_down"]
         if heavy:
-            # Several mutations per tick: version deltas are the
-            # loudness signal the sketch ranks on.
-            down.inc(step * 4096.0)
-            registry.counters["wan_bytes_up"].inc(step * 512.0)
-            registry.gauges["devices_online"].set(
-                float(1 + (self._ticks + home) % 4))
+            # Three mutations per tick against one: mutation counts are
+            # the loudness signal the sketch ranks on.
+            cohort.inc(_DOWN, home, step * 4096.0)
+            cohort.inc(_UP, home, step * 512.0)
+            cohort.set(_DEVICES, home, float(1 + (self._ticks + home) % 4))
         else:
-            down.inc(step * 128.0)
+            cohort.inc(_DOWN, home, step * 128.0)
 
     def _tick(self) -> None:
         for home in self._hot:

@@ -134,8 +134,8 @@ CALLER_ROOTS = ("src", "scripts", "benchmarks", "examples")
 # ``__init__`` parameters with a default that no call outside tests/
 # passes, as ``file:Class.param`` under src/. The list may only shrink:
 # make a knob nothing sets a constant, or delete its entry once a real
-# caller passes it. PeerBackupService's six and HeartbeatMonitor's two
-# flap-damping parameters were the last to go.
+# caller passes it. TimeSeriesDB's max_points and quantiles and
+# HomeMetricsPool's stream were the last to go.
 KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/attic/backup.py:ColdCloudBackup.restore_latency",
     "repro/attic/cloudmirror.py:EncryptedCloudStore.port",
@@ -167,13 +167,10 @@ KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/nocdn/strategy.py:ReplicateHotStrategy.hot_k",
     "repro/obs/sampling.py:ExemplarStore.per_metric",
     "repro/obs/slo.py:SloMonitor.metrics",
-    "repro/obs/timeseries.py:TimeSeriesDB.max_points",
-    "repro/obs/timeseries.py:TimeSeriesDB.quantiles",
     "repro/transport/tcp.py:TcpConnection.rng_stream",
     "repro/transport/tcp.py:TcpFlow.overhead_per_packet",
     "repro/transport/tcp.py:TcpFlow.start",
     "repro/workloads/diurnal.py:DiurnalCurve.hourly",
-    "repro/workloads/fleet.py:HomeMetricsPool.stream",
 })
 
 

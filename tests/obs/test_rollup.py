@@ -1,20 +1,14 @@
-"""Cardinality governor: space-saving sketch and cohort rollup folds."""
+"""Cardinality governor: space-saving sketch and columnar cohort folds."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.counters import MetricsRegistry
 from repro.obs.rollup import RollupCohort, SpaceSaving
 
-
-def make_member(name, reqs=0, depth=None):
-    registry = MetricsRegistry(namespace=name)
-    counter = registry.counter("reqs")
-    if reqs:
-        counter.inc(reqs)
-    gauge = registry.gauge("depth")
-    if depth is not None:
-        gauge.set(depth)
-    return registry
+SCHEMA = (("home.reqs", "counter"), ("home.depth", "gauge"))
+REQS, DEPTH = 0, 1
 
 
 def rows_by_name(cohort):
@@ -66,163 +60,196 @@ class TestSpaceSaving:
 
 class TestRollupFold:
     def test_counters_sum_gauges_average(self):
-        cohort = RollupCohort("nbhd0", k=2)
-        cohort.add_member("h0", make_member("home", reqs=4, depth=2.0))
-        cohort.add_member("h1", make_member("home", reqs=6, depth=4.0))
+        cohort = RollupCohort("nbhd0", 2, SCHEMA, k=2)
+        cohort.inc(REQS, 0, 4.0)
+        cohort.inc(REQS, 1, 6.0)
+        cohort.set(DEPTH, 0, 2.0)
+        cohort.set(DEPTH, 1, 4.0)
         rows = rows_by_name(cohort)
         assert rows["cohort:nbhd0/home.reqs"] == 10.0
         assert rows["cohort:nbhd0/home.depth"] == 3.0
         assert rows["cohort:nbhd0/rollup.members"] == 2.0
 
     def test_quiet_members_not_rescanned(self):
-        cohort = RollupCohort("n", k=2)
-        a = make_member("home", reqs=1)
-        cohort.add_member("h0", a)
-        cohort.add_member("h1", make_member("home", reqs=1))
-        cohort.scrape_rows()                 # first fold walks everyone
-        assert cohort.members_rescanned == 2
-        a.counters["reqs"].inc()
-        cohort.scrape_rows()                 # only the mutated member
-        assert cohort.members_rescanned == 3
+        cohort = RollupCohort("n", 3, SCHEMA, k=2)
+        cohort.scrape_rows()                 # first fold adds every column
+        cohort.inc(REQS, 1, 1.0)
+        cohort.inc(REQS, 1, 1.0)             # one member, twice
+        rows = rows_by_name(cohort)
+        assert rows["cohort:n/rollup.changed"] == 1.0
+        assert cohort.sketch.top() == [("nh1", 2.0, 0.0)]
 
     def test_first_fold_is_setup_not_loudness(self):
-        cohort = RollupCohort("n", k=1)
-        cohort.add_member("h0", make_member("home", reqs=100))
-        cohort.scrape_rows()
+        cohort = RollupCohort("n", 1, SCHEMA, k=1)
+        cohort.inc(REQS, 0, 100.0)           # written before any fold
+        assert rows_by_name(cohort)["cohort:n/home.reqs"] == 100.0
         assert len(cohort.sketch) == 0       # registration never offered
+        assert rows_by_name(cohort)["cohort:n/rollup.changed"] == 0.0
 
     def test_loudest_member_gets_per_home_series(self):
-        cohort = RollupCohort("n", k=1)
-        quiet = make_member("home", reqs=1)
-        loud = make_member("home", reqs=1)
-        cohort.add_member("h-quiet", quiet)
-        cohort.add_member("h-loud", loud)
+        cohort = RollupCohort("n", 2, SCHEMA, k=1)
+        cohort.inc(REQS, 0, 1.0)
+        cohort.inc(REQS, 1, 1.0)
         cohort.scrape_rows()
         for _ in range(10):
-            loud.counters["reqs"].inc()
-        quiet.counters["reqs"].inc()
+            cohort.inc(REQS, 1, 1.0)
+        cohort.inc(REQS, 0, 1.0)
         rows = rows_by_name(cohort)
-        assert "h-loud/home.reqs" in rows
-        assert rows["h-loud/home.reqs"] == 11.0
-        assert "h-quiet/home.reqs" not in rows
+        assert rows["nh1/home.reqs"] == 11.0
+        assert rows["nh1/home.depth"] == 0.0
+        assert "nh0/home.reqs" not in rows
 
     def test_rollup_changed_row_counts_rescans(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home")
-        cohort.add_member("h0", a)
-        cohort.add_member("h1", make_member("home"))
+        cohort = RollupCohort("n", 2, SCHEMA, k=1)
         rows = rows_by_name(cohort)
         assert rows["cohort:n/rollup.changed"] == 2.0
-        a.counters["reqs"].inc()
+        cohort.inc(REQS, 0, 1.0)
         rows = rows_by_name(cohort)
         assert rows["cohort:n/rollup.changed"] == 1.0
 
-    def test_duplicate_and_empty_member_names_rejected(self):
-        cohort = RollupCohort("n")
-        cohort.add_member("h0", make_member("home"))
-        with pytest.raises(ValueError):
-            cohort.add_member("h0", make_member("home"))
-        with pytest.raises(ValueError):
-            cohort.add_member("", make_member("home"))
-
-
-class TestDifferentialFastPath:
-    """Plain counter/gauge members fold value deltas, no snapshot."""
-
-    def test_deltas_match_full_rescan(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home", reqs=3, depth=1.0)
-        b = make_member("home", reqs=5, depth=3.0)
-        cohort.add_member("h0", a)
-        cohort.add_member("h1", b)
-        cohort.scrape_rows()                     # builds the fast caches
-        a.counters["reqs"].inc(7)
-        a.gauges["depth"].set(9.0)
+    def test_later_folds_add_value_deltas(self):
+        cohort = RollupCohort("n", 2, SCHEMA, k=1)
+        cohort.inc(REQS, 0, 3.0)
+        cohort.inc(REQS, 1, 5.0)
+        cohort.set(DEPTH, 0, 1.0)
+        cohort.set(DEPTH, 1, 3.0)
+        cohort.scrape_rows()
+        cohort.inc(REQS, 0, 7.0)
+        cohort.set(DEPTH, 0, 9.0)
         rows = rows_by_name(cohort)
         assert rows["cohort:n/home.reqs"] == 15.0
         assert rows["cohort:n/home.depth"] == 6.0
 
-    def test_metric_set_change_falls_back_to_full_rescan(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home", reqs=2)
-        cohort.add_member("h0", a)
+    def test_top_k_rows_are_fresh(self):
+        cohort = RollupCohort("n", 1, SCHEMA, k=1)
+        cohort.inc(REQS, 0, 1.0)
         cohort.scrape_rows()
-        a.counter("retries").inc(4)              # new metric after fold
-        rows = rows_by_name(cohort)
-        assert rows["cohort:n/home.retries"] == 4.0
-        assert rows["cohort:n/home.reqs"] == 2.0
+        cohort.inc(REQS, 0, 41.0)
+        assert rows_by_name(cohort)["nh0/home.reqs"] == 42.0
 
-    def test_histogram_member_stays_on_snapshot_path(self):
-        cohort = RollupCohort("n", k=1)
-        registry = MetricsRegistry(namespace="home")
-        hist = registry.histogram("lat")
-        hist.observe(0.5)
-        cohort.add_member("h0", registry)
+    def test_member_rows_keep_schema_order(self):
+        cohort = RollupCohort("n", 1, (("b.up", "counter"),
+                                       ("a.level", "gauge")), k=1)
         cohort.scrape_rows()
-        hist.observe(1.5)
-        rows = rows_by_name(cohort)
-        assert rows["cohort:n/home.lat_count"] == 2.0
-        assert rows["cohort:n/home.lat_sum"] == 2.0
+        cohort.inc(0, 0, 2.0)
+        names = [name for name, _kind, _value in cohort.scrape_rows()]
+        assert names == ["cohort:n/a.level", "cohort:n/b.up",
+                         "cohort:n/rollup.members", "cohort:n/rollup.changed",
+                         "nh0/b.up", "nh0/a.level"]
 
-    def test_top_k_rows_served_from_fast_cache_are_fresh(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home", reqs=1)
-        cohort.add_member("h0", a)
+    def test_writes_keep_counters_monotone(self):
+        cohort = RollupCohort("n", 1, SCHEMA)
+        cohort.inc(REQS, 0, 5.0)
         cohort.scrape_rows()
-        a.counters["reqs"].inc(41)
-        rows = rows_by_name(cohort)
-        assert rows["h0/home.reqs"] == 42.0      # not the stale snapshot
-
-
-class TestTouchMode:
-    def test_untouched_mutation_not_picked_up(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home", reqs=1)
-        cohort.add_member("h0", a)
-        cohort.enable_touch()
-        cohort.scrape_rows()                     # add_member pre-touched
-        a.counters["reqs"].inc(5)                # mutate without touch
-        rows = rows_by_name(cohort)
-        assert rows["cohort:n/home.reqs"] == 1.0
-        cohort.touch("h0")
-        rows = rows_by_name(cohort)
-        assert rows["cohort:n/home.reqs"] == 6.0
-
-    def test_enable_touch_returns_live_dirty_set(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home", reqs=1)
-        cohort.add_member("h0", a)
-        dirty = cohort.enable_touch()
-        cohort.scrape_rows()
-        a.counters["reqs"].inc()
-        dirty.add(0)                             # hot-loop style notify
-        rows = rows_by_name(cohort)
-        assert rows["cohort:n/home.reqs"] == 2.0
-        # Folds clear the set in place; the alias stays valid.
-        assert len(dirty) == 0
-
-    def test_fn_gauge_member_always_rescanned_in_touch_mode(self):
-        cohort = RollupCohort("n", k=1)
-        registry = MetricsRegistry(namespace="home")
-        state = {"v": 1.0}
-        registry.gauge("depth").set_function(lambda: state["v"])
-        cohort.add_member("h0", registry)
-        cohort.enable_touch()
-        cohort.scrape_rows()
-        state["v"] = 7.0                         # no touch, no version bump
-        rows = rows_by_name(cohort)
-        assert rows["cohort:n/home.depth"] == 7.0
-
-    def test_touch_index_addressing(self):
-        cohort = RollupCohort("n", k=1)
-        a = make_member("home", reqs=1)
-        cohort.add_member("h0", a)
-        cohort.enable_touch()
-        cohort.scrape_rows()
-        a.counters["reqs"].inc()
-        cohort.touch_index(0)
-        assert rows_by_name(cohort)["cohort:n/home.reqs"] == 2.0
-
-    def test_every_validation(self):
         with pytest.raises(ValueError):
-            RollupCohort("n", every=0)
+            cohort.inc(REQS, 0, -1.0)
+        with pytest.raises(ValueError):
+            cohort.set(REQS, 0, 0.0)
+        with pytest.raises(ValueError):
+            cohort.inc(DEPTH, 0, 1.0)
+        rows = rows_by_name(cohort)          # a refused write is no write
+        assert rows["cohort:n/home.reqs"] == 5.0
+        assert rows["cohort:n/rollup.changed"] == 0.0
+
+    @pytest.mark.parametrize("size, schema, every", [
+        pytest.param(0, SCHEMA, 1, id="no-members"),
+        pytest.param(1, SCHEMA, 0, id="every-0"),
+        pytest.param(1, (("home.reqs", "counter"), ("home.reqs", "gauge")),
+                     1, id="duplicate-metric"),
+        pytest.param(1, (("home.lat", "histogram"),), 1, id="histogram"),
+    ])
+    def test_bad_shapes_rejected(self, size, schema, every):
+        with pytest.raises(ValueError):
+            RollupCohort("n", size, schema, every=every)
+
+
+# -- the columnar fold against per-home registries ---------------------------
+
+class RegistryCohort:
+    """The fold as it was when every home had a ``MetricsRegistry``:
+    version deltas are loudness, the first fold offers nothing, totals
+    re-summed from each member's last ``snapshot_series``."""
+
+    def __init__(self, name, size, k):
+        self.name, self.sketch = name, SpaceSaving(k)
+        self.homes = [MetricsRegistry(namespace="home") for _ in range(size)]
+        for home in self.homes:
+            home.counter("reqs")
+            home.gauge("depth")
+        self.versions, self.rows = [-1] * size, [None] * size
+
+    def scrape_rows(self):
+        changed, totals, kinds = 0, {}, {}
+        for i, home in enumerate(self.homes):
+            if home.version != self.versions[i]:
+                changed += 1
+                if self.versions[i] >= 0:
+                    self.sketch.offer(f"{self.name}h{i}",
+                                      float(home.version - self.versions[i]))
+                self.versions[i] = home.version
+                self.rows[i] = home.snapshot_series()
+            for metric, kind, value in self.rows[i]:
+                totals[metric] = totals.get(metric, 0.0) + value
+                kinds[metric] = kind
+        prefix = f"cohort:{self.name}/"
+        rows = [(f"{prefix}{metric}", kinds[metric],
+                 totals[metric] / len(self.homes)
+                 if kinds[metric] == "gauge" else totals[metric])
+                for metric in sorted(totals)]
+        rows.append((f"{prefix}rollup.members", "gauge",
+                     float(len(self.homes))))
+        rows.append((f"{prefix}rollup.changed", "gauge", float(changed)))
+        for source, _count, _error in self.sketch.top():
+            rows.extend((f"{source}/{metric}", kind, value) for metric, kind,
+                        value in self.rows[int(source[len(self.name) + 1:])])
+        return rows
+
+
+# One op: ("scrape",) or (home, heavy, step, devices) — a heavy bump is
+# three writes (two counters and the gauge), a light one one write.
+SCRAPE = ("scrape",)
+
+
+def bump_ops(size):
+    bump = st.tuples(st.integers(0, size - 1), st.booleans(),
+                     st.integers(1, 7), st.integers(1, 4))
+    return st.lists(st.one_of(st.just(SCRAPE), bump), max_size=60)
+
+
+@st.composite
+def fleets(draw):
+    size = draw(st.integers(1, 24))
+    return (size, draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+            draw(bump_ops(size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleets())
+# Tied members n0h2 and n0h10: string and integer keys order differently.
+@example((12, 2, 1, [SCRAPE, (2, False, 1, 1), (10, False, 1, 1), SCRAPE,
+                     (3, False, 1, 1), SCRAPE]))
+# Bumps before the first fold: setup, not loudness.
+@example((3, 1, 1, [(1, True, 2, 3), SCRAPE, (0, False, 1, 1), SCRAPE]))
+# A heavy bump is three mutations: n0h0 outweighs n0h1's two and stays.
+@example((3, 2, 1, [SCRAPE, (0, True, 1, 1), (1, False, 1, 1),
+                    (1, False, 1, 1), SCRAPE, (2, False, 1, 1), SCRAPE]))
+def test_columnar_fold_equals_per_home_registries(drawn):
+    size, k, every, ops = drawn
+    cohort = RollupCohort("n0", size, SCHEMA, k=k, every=every)
+    reference = RegistryCohort("n0", size, k)
+    scrapes = 0
+    for op in ops + [SCRAPE] * every:        # end on a scrape that folds
+        if op == SCRAPE:
+            if scrapes % every == 0:
+                assert cohort.scrape_rows() == reference.scrape_rows()
+            scrapes += 1
+            continue
+        home, heavy, step, devices = op
+        registry = reference.homes[home]
+        cohort.inc(REQS, home, step * 128.0)
+        registry.counters["reqs"].inc(step * 128.0)
+        if heavy:
+            cohort.inc(REQS, home, step * 4096.0)
+            registry.counters["reqs"].inc(step * 4096.0)
+            cohort.set(DEPTH, home, float(devices))
+            registry.gauges["depth"].set(float(devices))

@@ -99,8 +99,6 @@ class TestTimeSeriesDB:
         sim = Simulator()
         with pytest.raises(ValueError, match="interval"):
             TimeSeriesDB(sim, interval=0.0)
-        with pytest.raises(ValueError, match="max_points"):
-            TimeSeriesDB(sim, max_points=2)
         with pytest.raises(ValueError, match="kind"):
             TimeSeriesDB(sim).add_callback("x", lambda: 0.0, kind="nope")
 
@@ -131,14 +129,11 @@ class TestTimeSeriesDB:
 
     def test_rollup_cohort_scraped_every_nth_tick(self):
         sim, db = self.make_db()
-        reg = MetricsRegistry(namespace="home")
-        reqs = reg.counter("reqs", "")
-        cohort = RollupCohort("n0", every=2)
-        cohort.add_member("h0", reg)
+        cohort = RollupCohort("n0", 1, (("home.reqs", "counter"),), every=2)
         db.add_rollup(cohort)
         rows = []
         for _ in range(5):
-            reqs.inc()
+            cohort.inc(0, 0, 1.0)
             db.scrape()
             rows.append(db.last_scrape_rows)
         # Scrapes 0, 2 and 4 fold the cohort; 1 and 3 skip it whole.
