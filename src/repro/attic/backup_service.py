@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.detector import HeartbeatMonitor
 from repro.hpop.core import Hpop, HpopService
-from repro.http.client import HttpClient
+from repro.http.client import HttpClient, fan_in
 from repro.http.messages import HttpRequest, HttpResponse, not_found, ok
 from repro.metrics.counters import MetricsRegistry
 from repro.util.crypto import derive_payload, sha256_hex
@@ -81,22 +81,6 @@ def _is_shard_asked_for(resp: Optional[HttpResponse],
     body = resp.body
     return (isinstance(body, Shard)
             and (body.index, body.k, body.m) == (index, entry.k, entry.m))
-
-
-def _fan_in(n: int, on_all: Callable[[List[tuple]], None]
-            ) -> Callable[..., None]:
-    """A callback for ``n`` operations: after its ``n``-th call (at once
-    when ``n`` is 0) it calls ``on_all`` with every call's arguments."""
-    results: List[tuple] = []
-
-    def one(*result) -> None:
-        results.append(result)
-        if len(results) == n:
-            on_all(results)
-
-    if n == 0:
-        on_all(results)
-    return one
 
 
 class PeerBackupService(HpopService):
@@ -395,7 +379,7 @@ class PeerBackupService(HpopService):
             succeeded, *rest = (sum(column) for column in zip(*results))
             on_done(succeeded, len(paths), *rest)
 
-        one = _fan_in(len(paths), tally)
+        one = fan_in(len(paths), tally)
         for path in paths:
             start(path, one)
 
@@ -432,7 +416,7 @@ class PeerBackupService(HpopService):
             span.finish(ok=success)
             on_done(success)
 
-        one = _fan_in(len(shards), all_sent)
+        one = fan_in(len(shards), all_sent)
         with self.sim.tracer.activate(span):
             for shard, friend in zip(shards, holders):
                 self._store(entry, shard, friend, one)
@@ -492,7 +476,7 @@ class PeerBackupService(HpopService):
             if not finished and len({s.index for s in collected}) < entry.k:
                 finish(False)
 
-        answered = _fan_in(len(asked), all_answered)
+        answered = fan_in(len(asked), all_answered)
 
         def got(shard: Optional[Shard]) -> None:
             if shard is not None and not finished:  # else a late one: dropped
@@ -565,7 +549,7 @@ class PeerBackupService(HpopService):
                 finish(False, 0)
 
         with self.sim.tracer.activate(span):
-            one = _fan_in(len(asked), probed)
+            one = fan_in(len(asked), probed)
             for index, friend in asked:
                 self._fetch(entry, index, friend,
                             functools.partial(one, index))
@@ -605,7 +589,7 @@ class PeerBackupService(HpopService):
                 self._c_repairs_failed.inc()
             on_done(success, sum(placed for placed, in results))
 
-        one = _fan_in(len(lost), all_placed)
+        one = fan_in(len(lost), all_placed)
         for shard, friend in zip(replacement_shards, candidates):
             self._place_with_retry(entry, shard, friend, one)
         return True
@@ -653,7 +637,7 @@ class PeerBackupService(HpopService):
         span = self.sim.tracer.start_span(
             "attic.evacuate", parent=None, holder=name, files=len(paths),
             owner=self.owner_name)
-        one = _fan_in(len(paths), lambda results: span.finish(
+        one = fan_in(len(paths), lambda results: span.finish(
             ok=all(success for success, _repaired in results)))
         away = frozenset({name})
         with self.sim.tracer.activate(span):

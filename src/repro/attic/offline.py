@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.attic.grants import QrPayload
 from repro.attic.reconcile import OfflineWorkspace, SyncAction, SyncResult
-from repro.http.client import HttpClient
+from repro.http.client import HttpClient, fan_in
 from repro.http.messages import HttpRequest
 from repro.net.network import Network
 from repro.net.node import Host
@@ -122,19 +122,15 @@ class OfflineDevice:
         if not self.online:
             raise RuntimeError("cannot reconcile while offline")
         names = self.workspace.files()
-        results: List[SyncResult] = []
         if not names:
             self.sim.call_soon(lambda: on_done([]), label="offline.noop")
             return
-        remaining = {"count": len(names)}
 
-        def one_finished(result: Optional[SyncResult]) -> None:
-            if result is not None:
-                results.append(result)
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                on_done(sorted(results, key=lambda r: r.name))
+        def all_finished(answers: List[tuple]) -> None:
+            on_done(sorted((result for result, in answers
+                            if result is not None), key=lambda r: r.name))
 
+        one_finished = fan_in(len(names), all_finished)
         for name in names:
             self._reconcile_one(name, one_finished)
 

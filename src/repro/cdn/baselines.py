@@ -10,7 +10,8 @@ NoCDN's benchmark (E6) compares three ways to deliver the same catalog:
 
 The edge server reuses the same cache semantics as NoCDN peers, so the
 comparison isolates the *structure* (who runs the replicas and how
-clients are routed), not cache policy details.
+clients are routed), not cache policy details. Fills and origin-only
+loads send :meth:`ContentProvider.object_get`; clients share one page fetch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.http.cache import CacheDisposition, HttpCache
-from repro.http.client import HttpClient
+from repro.http.client import HttpClient, PageFetcher
 from repro.http.content import WebPage
 from repro.http.messages import HttpRequest, HttpResponse, not_found, ok
 from repro.http.server import HttpServer
@@ -81,11 +82,9 @@ class CdnEdge:
             else:
                 respond(not_found(name))
 
+        server, fill, port = self.provider.object_get(name)
         self.client.request(
-            self.provider.host,
-            HttpRequest("GET", f"{self.provider.objects_prefix}/{name}",
-                        host=self.provider.site_name),
-            filled, port=self.provider.port,
+            server, fill, filled, port=port,
             on_error=lambda exc: respond(
                 HttpResponse(502, body_size=60, body="origin down")))
 
@@ -142,17 +141,8 @@ class TraditionalCdn:
         return best
 
 
-class BaselinePageLoader:
+class BaselinePageLoader(PageFetcher):
     """Loads whole pages via an edge fleet or straight from the origin."""
-
-    def __init__(self, device: Host, network: Network) -> None:
-        self.device = device
-        self.network = network
-        self.client = HttpClient(device, network)
-
-    @property
-    def sim(self):
-        return self.network.sim
 
     def load_via_origin(self, provider: ContentProvider, url: str,
                         on_done: Callable[[PageLoadResult], None]) -> None:
@@ -160,12 +150,8 @@ class BaselinePageLoader:
         page = provider.catalog.page(url)
         if page is None:
             raise KeyError(f"no page {url} at {provider.site_name}")
-        self._fetch_all(
-            page,
-            lambda obj: (provider.host,
-                         f"{provider.objects_prefix}/{obj.name}",
-                         provider.port, provider.site_name),
-            origin_side=True, on_done=on_done)
+        self._load(page, lambda obj: provider.object_get(obj.name),
+                   origin_side=True, on_done=on_done)
 
     def load_via_cdn(self, cdn: TraditionalCdn, url: str,
                      on_done: Callable[[PageLoadResult], None]) -> None:
@@ -175,37 +161,29 @@ class BaselinePageLoader:
             raise KeyError(f"no page {url} at {cdn.provider.site_name}")
         edge = cdn.edge_for(self.device)
         prefix = f"{EDGE_PREFIX}/{cdn.provider.site_name}"
-        self._fetch_all(
+        self._load(
             page,
-            lambda obj: (edge.host, f"{prefix}/{obj.name}", edge.port, ""),
+            lambda obj: (edge.host, HttpRequest("GET", f"{prefix}/{obj.name}"),
+                         edge.port),
             origin_side=False, on_done=on_done)
 
-    def _fetch_all(self, page: WebPage, target_for, origin_side: bool,
-                   on_done) -> None:
-        started = self.sim.now
-        result = PageLoadResult(url=page.url, started_at=started,
-                                completed_at=started,
+    def _load(self, page: WebPage, target_for, origin_side: bool,
+              on_done) -> None:
+        """Fetch the whole page; its bytes count as the origin's or the
+        replicas' by ``origin_side``."""
+        result = PageLoadResult(url=page.url, started_at=self.sim.now,
+                                completed_at=self.sim.now,
                                 object_count=page.object_count,
                                 direct_mode=origin_side)
-        objects = list(page.all_objects())
-        remaining = {"count": len(objects)}
 
-        def one(resp, _stats) -> None:
-            if resp.ok:
-                if origin_side:
-                    result.bytes_from_origin += resp.body_size
-                else:
-                    result.bytes_from_peers += resp.body_size
-            finish_one()
+        def account(resp) -> None:
+            if resp.ok and origin_side:
+                result.bytes_from_origin += resp.body_size
+            elif resp.ok:
+                result.bytes_from_peers += resp.body_size
 
-        def finish_one(_exc=None) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                result.completed_at = self.sim.now
-                on_done(result)
+        def done() -> None:
+            result.completed_at = self.sim.now
+            on_done(result)
 
-        for obj in objects:
-            host, path, port, vhost = target_for(obj)
-            self.client.request(
-                host, HttpRequest("GET", path, host=vhost),
-                one, port=port, on_error=finish_one)
+        self._fetch_all(list(page.all_objects()), target_for, account, done)

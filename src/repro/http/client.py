@@ -4,12 +4,15 @@ An :class:`HttpClient` is owned by a host. Each logical exchange is:
 connect (pooled, with handshake + optional TLS round trips) -> upload the
 request -> server dispatch -> download the response. Transfers ride the
 flow-level TCP model, so page loads see slow start, sharing, and loss.
+
+:func:`fan_in` waits for several answers; :class:`PageFetcher` is the
+page fetch every device-side page loader shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.http.messages import HttpRequest, HttpResponse
 from repro.http.server import DEFAULT_HTTP_PORT, HttpServer
@@ -47,6 +50,24 @@ class ExchangeStats:
 
 ResponseCallback = Callable[[HttpResponse, ExchangeStats], None]
 ErrorCallback = Callable[[HttpError], None]
+# Where one request goes: (server, request, port).
+Target = Tuple[Union[Host, Address], HttpRequest, int]
+
+
+def fan_in(n: int, on_all: Callable[[List[tuple]], None]
+           ) -> Callable[..., None]:
+    """A callback for ``n`` operations: after its ``n``-th call (at once
+    when ``n`` is 0) it calls ``on_all`` with every call's arguments."""
+    results: List[tuple] = []
+
+    def one(*result) -> None:
+        results.append(result)
+        if len(results) == n:
+            on_all(results)
+
+    if n == 0:
+        on_all(results)
+    return one
 
 
 class HttpClient:
@@ -211,3 +232,34 @@ def _reversed_path(path: Path) -> Path:
         d.link.direction(d.receiver) for d in reversed(path.directions)
     )
     return Path(source=path.dest, dest=path.source, directions=directions)
+
+
+class PageFetcher:
+    """A device that loads pages: owns its :class:`HttpClient` and the
+    page fetch the NoCDN, baseline and Internet@home loaders share."""
+
+    def __init__(self, device: Host, network: Network) -> None:
+        self.device = device
+        self.network = network
+        self.client = HttpClient(device, network)
+
+    @property
+    def sim(self) -> Simulator:
+        return self.network.sim
+
+    def _fetch_all(self, objects, target_for: Callable[[Any], Target],
+                   account: Callable[[HttpResponse], None],
+                   on_done: Callable[[], None]) -> None:
+        """Request every one of ``objects`` from ``target_for(obj)`` at
+        once; ``account(response)`` books each answer (a failed exchange
+        books nothing), ``on_done()`` runs after the last."""
+        one = fan_in(len(objects), lambda _answers: on_done())
+
+        def answered(resp: HttpResponse, _stats) -> None:
+            account(resp)
+            one()
+
+        for obj in objects:
+            server, request, port = target_for(obj)
+            self.client.request(server, request, answered, port=port,
+                                on_error=one)

@@ -2,7 +2,8 @@
 
 Experiment E11 compares the user-perceived latency of loading pages
 through the Internet@home cache (LAN round trips on hits) against
-fetching directly from origins over the WAN.
+fetching directly from origins over the WAN. Both run the shared page
+fetch with their own per-object target and booking.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.http.client import HttpClient
+from repro.http.client import PageFetcher
 from repro.http.content import WebPage
 from repro.http.messages import HttpRequest
 from repro.iah.service import OBJECT_ROUTE, VISIT_ROUTE
 from repro.iah.web import Website
-from repro.net.network import Network
 from repro.net.node import Host
 
 
@@ -43,17 +43,8 @@ class PageVisitResult:
         return (self.cache_hits + self.lateral_hits) / total if total else 0.0
 
 
-class HomeBrowser:
+class HomeBrowser(PageFetcher):
     """Loads pages either through the home HPoP or straight from origins."""
-
-    def __init__(self, device: Host, network: Network) -> None:
-        self.device = device
-        self.network = network
-        self.client = HttpClient(device, network)
-
-    @property
-    def sim(self):
-        return self.network.sim
 
     def load_via_hpop(
         self,
@@ -90,11 +81,14 @@ class HomeBrowser:
             else:
                 result.cache_misses += 1
 
-        self._fetch_all(
-            site, page, hpop_host, 443,
-            lambda obj: HttpRequest(
-                "POST", OBJECT_ROUTE,
-                body={"site": site.name, "object": obj.name}, body_size=150),
+        self._visit(
+            site, page,
+            lambda obj: (hpop_host,
+                         HttpRequest("POST", OBJECT_ROUTE,
+                                     body={"site": site.name,
+                                           "object": obj.name},
+                                     body_size=150),
+                         443),
             account, on_done)
 
     def load_via_origin(
@@ -108,10 +102,13 @@ class HomeBrowser:
         def account(result: PageVisitResult, _resp) -> None:
             result.cache_misses += 1
 
-        self._fetch_all(
-            site, self._page(site, url), site.host, site.port,
-            lambda obj: HttpRequest(
-                "GET", f"{site.objects_prefix}/{obj.name}", host=site.name),
+        self._visit(
+            site, self._page(site, url),
+            lambda obj: (site.host,
+                         HttpRequest("GET",
+                                     f"{site.objects_prefix}/{obj.name}",
+                                     host=site.name),
+                         site.port),
             account, on_done)
 
     @staticmethod
@@ -121,29 +118,22 @@ class HomeBrowser:
             raise KeyError(f"{site.name} has no page {url}")
         return page
 
-    def _fetch_all(self, site: Website, page: WebPage, host: Host, port: int,
-                   request_for, account, on_done) -> None:
-        """Request every object of ``page`` from ``host``; ``account``
-        books each response's provenance, ``on_done`` gets the result."""
+    def _visit(self, site: Website, page: WebPage, target_for, account,
+               on_done) -> None:
+        """Fetch every object of ``page``; ``account`` books each
+        response's provenance, ``on_done`` gets the result."""
         result = PageVisitResult(site=site.name, url=page.url,
                                  started_at=self.sim.now,
-                                 completed_at=self.sim.now)
-        objects = list(page.all_objects())
-        remaining = {"count": len(objects)}
+                                 completed_at=self.sim.now,
+                                 object_count=page.object_count)
 
-        def one(resp, _stats) -> None:
+        def booked(resp) -> None:
             if resp.ok:
                 result.bytes_total += resp.body_size
             account(result, resp)
-            finish_one()
 
-        def finish_one(_exc=None) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                result.completed_at = self.sim.now
-                result.object_count = len(objects)
-                on_done(result)
+        def visited() -> None:
+            result.completed_at = self.sim.now
+            on_done(result)
 
-        for obj in objects:
-            self.client.request(host, request_for(obj), one, port=port,
-                                on_error=finish_one)
+        self._fetch_all(list(page.all_objects()), target_for, booked, visited)

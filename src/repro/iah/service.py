@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.hpop.core import Hpop, HpopService
 from repro.http.cache import CacheDisposition, HttpCache
-from repro.http.client import HttpClient
+from repro.http.client import HttpClient, fan_in
 from repro.http.content import WebObject, WebPage
 from repro.http.messages import HttpRequest, HttpResponse, not_found, ok
 from repro.iah.deepweb import AtticTrigger, CredentialVault, GatherTarget
@@ -40,6 +40,9 @@ OBJECT_ROUTE = "/iah/object"
 PAGE_ROUTE = "/iah/page"
 VISIT_ROUTE = "/iah/visit"
 PEER_ROUTE = "/iah/peer"
+# Shorter than a device's own request timeout, so an unreachable
+# upstream degrades to a stale serve before the device gives up.
+UPSTREAM_TIMEOUT = 10.0
 
 
 @dataclass
@@ -71,7 +74,6 @@ class InternetAtHomeService(HpopService):
         aggressiveness: float = 0.5,
         gather_interval: float = 300.0,
         smoother: Optional[DemandSmoother] = None,
-        upstream_timeout: float = 10.0,
     ) -> None:
         super().__init__()
         if not 0 <= aggressiveness <= 1:
@@ -79,9 +81,6 @@ class InternetAtHomeService(HpopService):
         self.cache_bytes = cache_bytes
         self.aggressiveness = aggressiveness
         self.gather_interval = gather_interval
-        # Shorter than a device's own request timeout, so an unreachable
-        # upstream degrades to a stale serve before the device gives up.
-        self.upstream_timeout = upstream_timeout
         self.smoother = smoother
         self.history = BrowsingHistory()
         self.profile = InterestProfile(self.history)
@@ -199,21 +198,19 @@ class InternetAtHomeService(HpopService):
             return
         self.stats.rounds += 1
         targets = self.gather_targets()
-        outstanding = {"count": len(targets)}
         span = self.sim.tracer.start_span("iah.gather", targets=len(targets))
-
-        def one_done() -> None:
-            outstanding["count"] -= 1
-            if outstanding["count"] == 0:
-                span.finish()
-                if on_done is not None:
-                    on_done()
-
         if not targets:
             span.finish()
             if on_done is not None:
                 self.sim.call_soon(on_done, label="iah.gather.empty")
             return
+
+        def all_done(_answers) -> None:
+            span.finish()
+            if on_done is not None:
+                on_done()
+
+        one_done = fan_in(len(targets), all_done)
         with self.sim.tracer.activate(span):
             for site, object_name in targets:
                 if object_name.startswith("__page__"):
@@ -300,7 +297,7 @@ class InternetAtHomeService(HpopService):
             site.host,
             HttpRequest("GET", f"{site.objects_prefix}/{object_name}",
                         host=site_name, headers=headers),
-            got, port=site.port, timeout=self.upstream_timeout,
+            got, port=site.port, timeout=UPSTREAM_TIMEOUT,
             on_error=lambda exc: on_done(None))
 
     # -- serving devices -----------------------------------------------------------

@@ -11,6 +11,12 @@ machine driving one page load:
    reported,
 4. assemble the page, fire the completion callback,
 5. transfer signed usage records to each peer that served verified bytes.
+
+Every request goes through one site, :meth:`PageLoader._request`:
+origin GETs the provider builds, peer chunk GETs (``_peer_get``) and
+fire-and-forget POSTs (``_post``). A directly served page uses the
+shared page fetch (:class:`repro.http.client.PageFetcher`). Only a peer
+that served verified bytes is credited.
 """
 
 from __future__ import annotations
@@ -18,16 +24,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.http.client import HttpClient
+from repro.http.client import PageFetcher, Target, fan_in
 from repro.http.content import WebPage
 from repro.http.messages import HttpRequest
 from repro.metrics.counters import MetricsRegistry
 from repro.net.network import Network
 from repro.net.node import Host
 from repro.nocdn.origin import ContentProvider
-from repro.nocdn.peer import USAGE_PREFIX, ChunkBody
+from repro.nocdn.peer import CONTENT_PREFIX, USAGE_PREFIX, ChunkBody
 from repro.nocdn.records import make_record
-from repro.nocdn.wrapper import WrapperPage
+from repro.nocdn.wrapper import ChunkAssignment, WrapperPage
 from repro.util.crypto import derive_payload, sha256_hex
 
 
@@ -55,7 +61,16 @@ class PageLoadResult:
         return self.bytes_from_peers + self.bytes_from_origin
 
 
-class PageLoader:
+@dataclass
+class _Slot:
+    """A work item, its bytes and who served them (``None``: the origin)."""
+
+    item: ChunkAssignment
+    body: Optional[ChunkBody] = None
+    server: Optional[str] = None
+
+
+class PageLoader(PageFetcher):
     """One browser-equivalent on a client device.
 
     ``peer_timeout`` bounds each peer fetch: a peer that does not
@@ -68,9 +83,7 @@ class PageLoader:
 
     def __init__(self, device: Host, network: Network,
                  peer_timeout: float = 5.0) -> None:
-        self.device = device
-        self.network = network
-        self.client = HttpClient(device, network)
+        super().__init__(device, network)
         self.peer_timeout = peer_timeout
         self._loader_cached: Set[str] = set()
         self.records_sent = 0
@@ -101,10 +114,6 @@ class PageLoader:
         self._c_chunk_failures = self.metrics.counter(
             "chunk_fetch_failures",
             help="Peer chunk fetches that failed or timed out")
-
-    @property
-    def sim(self):
-        return self.network.sim
 
     # -- public API -------------------------------------------------------
 
@@ -147,7 +156,7 @@ class PageLoader:
                 return
             if isinstance(resp.body, WebPage):
                 self._direct_load(provider, resp.body, started, resp.body_size,
-                                  on_done, fail)
+                                  on_done)
             elif isinstance(resp.body, WrapperPage):
                 self._wrapped_load(provider, resp.body, started,
                                    resp.body_size, on_done, fail)
@@ -155,12 +164,10 @@ class PageLoader:
                 fail(RuntimeError("unrecognized wrapper response"))
 
         def fetch_wrapper() -> None:
-            self.client.request(
-                provider.host,
-                HttpRequest("GET", f"{provider.wrapper_prefix}{url}",
-                            host=provider.site_name,
-                            headers={"X-Client-Host": self.device.name}),
-                got_wrapper, port=provider.port, on_error=fail)
+            self._request(provider.target(
+                "GET", f"{provider.wrapper_prefix}{url}",
+                headers={"X-Client-Host": self.device.name}),
+                got_wrapper, fail)
 
         with self.sim.tracer.activate(span):
             if provider.site_name not in self._loader_cached:
@@ -170,46 +177,50 @@ class PageLoader:
                         self._loader_cached.add(provider.site_name)
                     fetch_wrapper()
 
-                self.client.request(
-                    provider.host,
-                    HttpRequest("GET", provider.loader_script_path,
-                                host=provider.site_name),
-                    got_loader, port=provider.port, on_error=fail)
+                self._request(provider.target("GET",
+                                              provider.loader_script_path),
+                              got_loader, fail)
             else:
                 fetch_wrapper()
+
+    # -- the one request site and its verbs ---------------------------------
+
+    def _request(self, target: Target, on_response, on_error,
+                 timeout: Optional[float] = None) -> None:
+        """The one request site; an origin GET is a provider-built
+        ``target`` sent as it is."""
+        server, request, port = target
+        self.client.request(server, request, on_response, port=port,
+                            on_error=on_error, timeout=timeout)
+
+    def _peer_get(self, endpoint, path: str, byte_range, on_response,
+                  on_error) -> None:
+        """GET ``path`` (its ``byte_range``) from the peer at
+        ``endpoint``; no answer within ``peer_timeout`` is a failure."""
+        address, port = endpoint
+        self._request((address, HttpRequest("GET", path, range=byte_range),
+                       port), on_response, on_error, self.peer_timeout)
+
+    def _post(self, target: Target) -> None:
+        """Fire and forget: usage records, corruption reports."""
+        self._request(target, lambda *_: None, lambda *_: None)
 
     # -- direct (no peers) mode ---------------------------------------------
 
     def _direct_load(self, provider, page: WebPage, started, container_bytes,
-                     on_done, fail) -> None:
+                     on_done) -> None:
         result = PageLoadResult(url=page.url, started_at=started,
                                 completed_at=started, direct_mode=True,
                                 object_count=page.object_count,
                                 bytes_from_origin=container_bytes)
-        remaining = {"count": len(page.embedded)}
-        if not page.embedded:
-            self._finish(result, on_done)
-            return
 
-        def one_done(resp, _stats) -> None:
+        def account(resp) -> None:
             if resp.ok:
                 result.bytes_from_origin += resp.body_size
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self._finish(result, on_done)
 
-        for obj in page.embedded:
-            self.client.request(
-                provider.host,
-                HttpRequest("GET", f"{provider.objects_prefix}/{obj.name}",
-                            host=provider.site_name),
-                one_done, port=provider.port,
-                on_error=lambda exc: one_done_error(exc))
-
-        def one_done_error(_exc) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0:
-                self._finish(result, on_done)
+        self._fetch_all(page.embedded,
+                        lambda obj: provider.object_get(obj.name), account,
+                        lambda: self._finish(result, on_done))
 
     # -- wrapped mode -----------------------------------------------------------
 
@@ -219,152 +230,132 @@ class PageLoader:
                                 completed_at=started,
                                 object_count=wrapper.page.object_count,
                                 wrapper_bytes=wrapper_bytes)
-        items = wrapper.work_items()
-        # object name -> list of (chunk assignment, ChunkBody or None)
-        per_object: Dict[str, List] = {}
-        for item in items:
-            per_object.setdefault(item.object_name, []).append([item, None])
-        outstanding = {"count": len(items)}
-        # peer id -> {object name -> verified bytes fetched}
+        slots = [_Slot(item) for item in wrapper.work_items()]
+        per_object: Dict[str, List[_Slot]] = {}
+        for slot in slots:
+            per_object.setdefault(slot.item.object_name, []).append(slot)
+        # peer id -> {object name -> verified bytes it served}
         peer_credit: Dict[str, Dict[str, int]] = {}
-        # item identity -> peer that actually served it (failover may
-        # substitute the wrapper's assignment)
-        served_by: Dict[int, str] = {}
         objects_by_name = {o.name: o for o in wrapper.page.all_objects()}
 
-        def item_finished() -> None:
-            outstanding["count"] -= 1
-            if outstanding["count"] == 0:
-                self._send_usage_records(provider, wrapper, peer_credit)
-                self._finish(result, on_done)
+        def all_settled(_answers) -> None:
+            self._send_usage_records(provider, wrapper, peer_credit)
+            self._finish(result, on_done)
+
+        settled = fan_in(len(slots), all_settled)
+
+        def fill(slot: _Slot, body: ChunkBody, server: Optional[str]) -> None:
+            slot.body, slot.server = body, server
+            verify_object(slot.item.object_name)
 
         def verify_object(name: str) -> None:
-            slots = per_object[name]
-            if any(body is None for _item, body in slots):
-                return  # a chunk is still missing; its handler will recurse
+            group = per_object[name]
+            if any(slot.body is None for slot in group):
+                return  # a chunk is still missing; its answer verifies again
             assembled = b"".join(
-                derive_payload(body.obj.name, body.obj.version,
-                               body.obj.size)[item.start:item.end]
-                for item, body in sorted(slots, key=lambda s: s[0].start)
+                derive_payload(s.body.obj.name, s.body.obj.version,
+                               s.body.obj.size)[s.item.start:s.item.end]
+                for s in sorted(group, key=lambda s: s.item.start)
             )
             if sha256_hex(assembled) == wrapper.hashes[name]:
-                for item, body in slots:
-                    server = served_by.get(id(item), item.peer_id)
-                    peer_credit.setdefault(server, {}).setdefault(name, 0)
-                    peer_credit[server][name] += body.size
-                for _ in slots:
-                    item_finished()
+                for slot in group:
+                    if slot.server is not None:
+                        credit = peer_credit.setdefault(slot.server, {})
+                        credit[name] = credit.get(name, 0) + slot.body.size
+                for _ in group:
+                    settled()
             else:
-                # Integrity failure: blame every serving peer, recover
-                # the whole object from the origin.
-                for item, _body in slots:
-                    server = served_by.get(id(item), item.peer_id)
-                    result.corrupted.append((name, server))
-                    self._report_corruption(provider, server, name)
-                self._origin_recover(provider, name, objects_by_name[name],
-                                     result, slots, item_finished)
+                # Integrity failure: blame every peer that served a
+                # chunk, recover the whole object from the origin.
+                for slot in group:
+                    if slot.server is not None:
+                        result.corrupted.append((name, slot.server))
+                        self._post(provider.target(
+                            "POST", provider.corruption_report_path,
+                            body={"peer_id": slot.server, "object": name},
+                            body_size=150))
+                self._origin_recover(provider, name, result, group, settled)
 
-        def fetch_item(item, peer_id: Optional[str] = None,
-                       tried: Optional[Set[str]] = None) -> None:
-            serving_peer = peer_id or item.peer_id
-            attempted = tried if tried is not None else {item.peer_id}
-            endpoint = wrapper.peer_endpoints[serving_peer]
+        def fetch(slot: _Slot, peer_id: str, attempted: Set[str]) -> None:
+            item = slot.item
             obj = objects_by_name[item.object_name]
-            is_whole = item.start == 0 and item.end == obj.size
-            request = HttpRequest(
-                "GET",
-                f"/nocdn/{provider.site_name}/{item.object_name}",
-                range=None if is_whole else (item.start, item.end))
             self._c_chunk_fetches.inc()
             fetch_span = self.sim.tracer.start_span(
-                "nocdn.fetch", object=item.object_name, peer=serving_peer)
+                "nocdn.fetch", object=item.object_name, peer=peer_id)
 
             def got(resp, _stats) -> None:
                 if resp.ok and isinstance(resp.body, ChunkBody):
                     fetch_span.finish(
-                        outcome=("peer" if serving_peer == item.peer_id
+                        outcome=("peer" if peer_id == item.peer_id
                                  else "failover"),
                         bytes=resp.body_size)
                     result.bytes_from_peers += resp.body_size
-                    served_by[id(item)] = serving_peer
-                    for slot in per_object[item.object_name]:
-                        if slot[0] is item:
-                            slot[1] = resp.body
-                    verify_object(item.object_name)
+                    fill(slot, resp.body, peer_id)
                 else:
                     failed(None)
 
             def failed(_exc) -> None:
                 fetch_span.finish(outcome="peer-failed")
                 self._c_chunk_failures.inc()
-                result.peer_failures.append((item.object_name, serving_peer))
-                self.peer_failure_counts[serving_peer] = (
-                    self.peer_failure_counts.get(serving_peer, 0) + 1)
+                result.peer_failures.append((item.object_name, peer_id))
+                self.peer_failure_counts[peer_id] = (
+                    self.peer_failure_counts.get(peer_id, 0) + 1)
                 next_peer = next(
                     (p for p in wrapper.fallbacks if p not in attempted), None)
                 if next_peer is not None:
                     attempted.add(next_peer)
                     self._c_peer_failovers.inc()
-                    fetch_item(item, peer_id=next_peer, tried=attempted)
+                    fetch(slot, next_peer, attempted)
                     return
                 self._c_origin_fallbacks.inc()
-                self._origin_recover_chunk(provider, item, obj, result,
-                                           per_object[item.object_name],
-                                           verify_object)
+                self._origin_recover_chunk(provider, slot, obj, result, fill)
 
             with self.sim.tracer.activate(fetch_span):
-                self.client.request(endpoint[0], request, got,
-                                    port=endpoint[1], on_error=failed,
-                                    timeout=self.peer_timeout)
+                self._peer_get(
+                    wrapper.peer_endpoints[peer_id],
+                    f"{CONTENT_PREFIX}/{provider.site_name}/{item.object_name}",
+                    None if item.start == 0 and item.end == obj.size
+                    else (item.start, item.end), got, failed)
 
-        for item in items:
-            fetch_item(item)
+        for slot in slots:
+            fetch(slot, slot.item.peer_id, {slot.item.peer_id})
 
-    def _origin_recover(self, provider, name, obj, result, slots,
-                        item_finished) -> None:
+    def _origin_recover(self, provider, name, result, group,
+                        settled) -> None:
         """Re-fetch a corrupted object wholesale from the origin."""
+
+        def settle_group(_exc=None) -> None:
+            for _ in group:
+                settled()
 
         def got(resp, _stats) -> None:
             if resp.ok:
                 result.bytes_from_origin += resp.body_size
-            for _ in slots:
-                item_finished()
+            settle_group()
 
-        self.client.request(
-            provider.host,
-            HttpRequest("GET", f"{provider.objects_prefix}/{name}",
-                        host=provider.site_name),
-            got, port=provider.port,
-            on_error=lambda exc: [item_finished() for _ in slots])
+        self._request(provider.object_get(name), got, settle_group)
 
-    def _origin_recover_chunk(self, provider, item, obj, result, slots,
-                              verify_object) -> None:
-        """Fetch one failed chunk from the origin instead of the peer."""
-        obj_request = HttpRequest(
-            "GET", f"{provider.objects_prefix}/{item.object_name}",
-            host=provider.site_name,
-            range=(item.start, item.end))
-
-        def fill_slot(body: ChunkBody) -> None:
-            for slot in slots:
-                if slot[0] is item:
-                    slot[1] = body
-            verify_object(item.object_name)
+    def _origin_recover_chunk(self, provider, slot: _Slot, obj, result,
+                              fill) -> None:
+        """Fetch a chunk every peer failed from the origin (no credit)."""
+        item = slot.item
 
         def got(resp, _stats) -> None:
             if resp.ok and isinstance(resp.body, ChunkBody):
                 result.bytes_from_origin += resp.body_size
-                fill_slot(resp.body)
+                fill(slot, resp.body, None)
             else:
                 give_up()
 
         def give_up(_exc=None) -> None:
             # A zero-length stand-in makes the object's hash check fail
             # loudly rather than hanging the load forever.
-            fill_slot(ChunkBody(obj=obj, start=item.start, end=item.start))
+            fill(slot, ChunkBody(obj=obj, start=item.start, end=item.start),
+                 None)
 
-        self.client.request(provider.host, obj_request, got,
-                            port=provider.port, on_error=give_up)
+        self._request(provider.object_get(item.object_name,
+                                          (item.start, item.end)),
+                      got, give_up)
 
     # -- usage records ---------------------------------------------------------------
 
@@ -372,30 +363,18 @@ class PageLoader:
                             peer_credit: Dict[str, Dict[str, int]]) -> None:
         for peer_id, by_object in peer_credit.items():
             key = wrapper.peer_keys[peer_id]
-            endpoint = wrapper.peer_endpoints[peer_id]
+            address, port = wrapper.peer_endpoints[peer_id]
             for object_name, nbytes in by_object.items():
                 nonce = f"{self.device.name}-{self.sim.ids.next_int('nonce')}"
                 record = make_record(wrapper.wrapper_id, peer_id, object_name,
                                      nbytes, nonce, key)
                 self.records_sent += 1
-                self.client.request(
-                    endpoint[0],
-                    HttpRequest("POST", USAGE_PREFIX,
-                                headers={"X-NoCdn-Site": provider.site_name},
-                                body=record, body_size=250),
-                    lambda resp, stats: None,
-                    port=endpoint[1],
-                    on_error=lambda exc: None)
-
-    def _report_corruption(self, provider, peer_id: str, object_name: str) -> None:
-        self.client.request(
-            provider.host,
-            HttpRequest("POST", provider.corruption_report_path,
-                        host=provider.site_name,
-                        body={"peer_id": peer_id, "object": object_name},
-                        body_size=150),
-            lambda resp, stats: None, port=provider.port,
-            on_error=lambda exc: None)
+                self._post((address,
+                            HttpRequest("POST", USAGE_PREFIX,
+                                        headers={"X-NoCdn-Site":
+                                                 provider.site_name},
+                                        body=record, body_size=250),
+                            port))
 
     def _finish(self, result: PageLoadResult, on_done) -> None:
         result.completed_at = self.sim.now

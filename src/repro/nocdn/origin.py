@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.http.client import Target
 from repro.http.content import ContentCatalog, WebPage
 from repro.http.messages import (
     HttpRequest,
@@ -284,6 +285,20 @@ class ContentProvider:
                           virtual_host=vh)
 
     # -- object serving (origin fill + fallback) ----------------------------------
+
+    def target(self, method: str, path: str, **fields) -> Target:
+        """``method path`` to this origin's virtual host; ``fields`` are
+        the request's other fields."""
+        return (self.host,
+                HttpRequest(method, path, host=self.site_name, **fields),
+                self.port)
+
+    def object_get(self, name: str,
+                   byte_range: Optional[Tuple[int, int]] = None) -> Target:
+        """The GET of object ``name`` (of ``byte_range`` of it): the one
+        place its URL is written."""
+        return self.target("GET", f"{self.objects_prefix}/{name}",
+                           range=byte_range)
 
     def _serve_object(self, request: HttpRequest) -> HttpResponse:
         from repro.nocdn.peer import ChunkBody  # local import: cycle

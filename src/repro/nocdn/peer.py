@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.hpop.core import HPOP_PORT, Hpop, HpopService
 from repro.http.cache import CacheDisposition, HttpCache
-from repro.http.client import HttpClient
+from repro.http.client import HttpClient, Target
 from repro.http.content import WebObject
 from repro.http.messages import HttpRequest, HttpResponse, not_found, ok, partial_content
 from repro.nocdn.records import UsageRecord
@@ -41,6 +41,12 @@ USAGE_PREFIX = "/nocdn-usage"
 # forwarding depth is bounded at one and the origin fill — plus its
 # usage accounting — stays with the peer the client credited.
 HOP_HEADER = "X-NoCdn-Hop"
+# A neighbour that does not answer a forward within this many seconds
+# is skipped and the front peer fills from the origin.
+FORWARD_TIMEOUT = 2.0
+# Seconds between usage-record uploads to each provider; the origin's
+# key-expiry grace assumes it stays well under a key TTL.
+UPLOAD_INTERVAL = 60.0
 
 
 @dataclass
@@ -75,21 +81,17 @@ class NoCdnPeerService(HpopService):
     def __init__(
         self,
         cache_bytes: int = mib(256),
-        upload_interval: float = 60.0,
         tamper: bool = False,
         inflate_factor: float = 1.0,
         replay_records: bool = False,
-        forward_timeout: float = 2.0,
     ) -> None:
         super().__init__()
         if inflate_factor < 1.0:
             raise ValueError("inflate_factor must be >= 1.0")
         self.cache_bytes = cache_bytes
-        self.upload_interval = upload_interval
         self.tamper = tamper
         self.inflate_factor = inflate_factor
         self.replay_records = replay_records
-        self.forward_timeout = forward_timeout
         self._signups: Dict[str, ProviderSignup] = {}
         self._client: Optional[HttpClient] = None
         self._replayed: List[UsageRecord] = []
@@ -118,7 +120,7 @@ class NoCdnPeerService(HpopService):
         hpop.http.route(USAGE_PREFIX, self._accept_usage_record)
 
     def on_start(self) -> None:
-        self.hpop.every(self.upload_interval, self._upload_all,
+        self.hpop.every(UPLOAD_INTERVAL, self._upload_all,
                         label=f"{self.peer_id}.usage-upload",
                         jitter_stream="nocdn.upload.jitter")
 
@@ -227,13 +229,8 @@ class NoCdnPeerService(HpopService):
                     respond(HttpResponse(502, body_size=60,
                                          body="origin down"))
 
-            assert self._client is not None
-            self._client.request(
-                provider.host,
-                HttpRequest("GET",
-                            f"{provider.objects_prefix}/{object_name}",
-                            host=provider.site_name),
-                filled, port=provider.port, on_error=fill_failed)
+            self._request(provider.object_get(object_name), filled,
+                          fill_failed)
 
         directory = provider.directory
         target = None
@@ -260,14 +257,21 @@ class NoCdnPeerService(HpopService):
             else:
                 fill_from_origin()  # stale directory entry: 404 from peer
 
+        self._request(
+            (target[0],
+             HttpRequest("GET", f"{CONTENT_PREFIX}/{site}/{object_name}",
+                         headers={HOP_HEADER: "1"}),
+             target[1]),
+            neighbor_answered, lambda _exc: fill_from_origin(),
+            FORWARD_TIMEOUT)
+
+    def _request(self, target: Target, on_response, on_error,
+                 timeout: Optional[float] = None) -> None:
+        """The one request site: origin fill, neighbour forward, upload."""
         assert self._client is not None
-        self._client.request(
-            target[0],
-            HttpRequest("GET", f"{CONTENT_PREFIX}/{site}/{object_name}",
-                        headers={HOP_HEADER: "1"}),
-            neighbor_answered, port=target[1],
-            timeout=self.forward_timeout,
-            on_error=lambda _exc: fill_from_origin())
+        server, request, port = target
+        self._client.request(server, request, on_response, port=port,
+                             on_error=on_error, timeout=timeout)
 
     def _maybe_store(self, signup: ProviderSignup, obj: WebObject) -> None:
         """Cache ``obj`` unless the provider's partitioning strategy says
@@ -316,15 +320,12 @@ class NoCdnPeerService(HpopService):
             if resp.ok:
                 signup.uploaded_records += len(records)
 
-        assert self._client is not None
-        self._client.request(
-            signup.provider.host,
-            HttpRequest("POST", signup.provider.usage_upload_path,
-                        host=signup.provider.site_name,
-                        body={"peer_id": self.peer_id, "records": records},
-                        body_size=body_size),
-            uploaded, port=signup.provider.port,
-            on_error=lambda exc: signup.pending_records.extend(records))
+        self._request(
+            signup.provider.target(
+                "POST", signup.provider.usage_upload_path,
+                body={"peer_id": self.peer_id, "records": records},
+                body_size=body_size),
+            uploaded, lambda exc: signup.pending_records.extend(records))
 
     def flush_usage(self) -> None:
         """Immediate upload (tests and experiment drivers)."""

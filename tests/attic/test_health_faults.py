@@ -84,6 +84,32 @@ class TestPartitionedAttic:
         assert history == []
         assert len(errors) == 1
 
+    def test_history_fetch_answers_once_when_record_gets_fail(self):
+        """The link goes down after the listing answered: every record
+        GET fails, and the caller hears one error and no history."""
+        sim, city, _hpop, attic, clinic, _hospital, _injector = \
+            build_with_injector()
+        onboard(attic, clinic)
+        for kind in ("lab", "xray", "visit"):
+            assert push_record(sim, clinic, kind) is True
+        real = clinic.client.request
+
+        def cut_after_listing(server, request, on_response, **kwargs):
+            def listed(resp, stats):
+                city.network.fail_link(city.network.links[HPOP_LINK])
+                on_response(resp, stats)
+
+            if request.method == "PROPFIND":
+                return real(server, request, listed, **kwargs)
+            return real(server, request, on_response, **kwargs)
+
+        clinic.client.request = cut_after_listing
+        history, errors = [], []
+        clinic.fetch_history("ann", history.append, errors.append)
+        sim.run_until(sim.now + 60.0)
+        assert history == []
+        assert len(errors) == 1
+
 
 class TestCrashedAttic:
     def test_records_survive_an_hpop_crash(self):

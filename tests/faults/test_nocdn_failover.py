@@ -1,11 +1,12 @@
 """NoCDN degradation path: a dead assigned peer fails over to the
 next-ranked fallback peer, and to the origin when no peer can serve."""
 
+from repro.http.messages import not_found
 from repro.nocdn.loader import PageLoader
-from repro.nocdn.peer import NoCdnPeerService
+from repro.nocdn.peer import USAGE_PREFIX, NoCdnPeerService
 from repro.nocdn.selection import SelectionPolicy
 
-from tests.nocdn.harness import NoCdnWorld
+from tests.nocdn.harness import NoCdnWorld, make_catalog
 
 
 class HungPeerService(NoCdnPeerService):
@@ -122,3 +123,60 @@ class TestPeerFailover:
         for peer in world.peers[1:]:
             assert world.provider.peers[peer.peer_id].trust == 1.0
             assert not world.provider.peers[peer.peer_id].expelled
+
+
+class ForgetfulPeerService(NoCdnPeerService):
+    """A peer that answers 404 for one object and serves the rest."""
+
+    def __init__(self, lost):
+        super().__init__()
+        self.lost = lost
+
+    def _serve_content(self, request, respond):
+        if request.path.endswith(f"/{self.lost}"):
+            respond(not_found(request.path))
+        else:
+            super()._serve_content(request, respond)
+
+
+def usage_records(loader):
+    """The usage records ``loader`` sends, as it sends them."""
+    records = []
+    real = loader.client.request
+
+    def recording(server, request, *args, **kwargs):
+        if request.path == USAGE_PREFIX:
+            records.append(request.body)
+        return real(server, request, *args, **kwargs)
+
+    loader.client.request = recording
+    return records
+
+
+class TestUsageCredit:
+    """Only a peer that served verified bytes is credited: a chunk the
+    origin filled earns no usage record for the peer that failed it."""
+
+    def test_no_record_when_every_peer_is_dead(self):
+        world, loader = build()
+        for i in range(len(world.peers)):
+            world.city.network.fail_link(
+                world.city.network.links[f"hpop-n0h{i}"])
+        records = usage_records(loader)
+        result = world.load_page(loader=loader)
+        assert result.bytes_from_origin == 220_000
+        assert loader.records_sent == 0
+        assert records == []
+
+    def test_credit_equals_peer_bytes_when_one_chunk_falls_back(self):
+        catalog = make_catalog()
+        lost = catalog.page("/page0").embedded[0].name
+        world = NoCdnWorld(peer_services=[ForgetfulPeerService(lost)],
+                           catalog=catalog)
+        records = usage_records(world.loader)
+        result = world.load_page()
+        assert world.loader.metrics.counters["origin_fallbacks"].value == 1
+        assert result.bytes_from_origin == catalog.object(lost).size
+        assert lost not in {record.object_name for record in records}
+        assert sum(record.bytes_served for record in records) \
+            == result.bytes_from_peers

@@ -68,7 +68,7 @@ CLONE_MIN_CHARS = 160   # shorter windows are boilerplate, not logic
 MAX_CLONE_WINDOWS = 2
 # A second, finer tier: shorter windows catch a hand-built request or a
 # counter dict written out once per caller. Left at this bound:
-# cdn/baselines.py ↔ iah/browser.py and webdav/server.py with itself.
+# webdav/server.py with itself, so the bound cannot come down yet.
 SHORT_CLONE_WINDOW = 5
 SHORT_CLONE_MIN_CHARS = 110
 MAX_SHORT_CLONE_WINDOWS = 4
@@ -120,12 +120,36 @@ def test_no_file_pair_shares_more_short_clone_windows_than_the_ratchet():
     pairs = clone_windows(REPO / "src", SHORT_CLONE_WINDOW,
                           SHORT_CLONE_MIN_CHARS)
     assert pairs  # the scan really finds repeated windows
-    # Peer backup's exchanges share one RPC and one fan-in helper.
+    # Peer backup's exchanges share one RPC and one fan-in helper, and
+    # the device-side page loaders share one page fetch.
     backup = "repro/attic/backup_service.py"
     assert (backup, backup) not in pairs
+    assert ("repro/cdn/baselines.py", "repro/iah/browser.py") not in pairs
     over = {pair: n for pair, n in pairs.items()
             if n > MAX_SHORT_CLONE_WINDOWS}
     assert not over, f"short literal clones above the ratchet: {over}"
+
+
+# -- one client exchange ----------------------------------------------------
+
+def test_no_hand_counted_fan_in_in_src():
+    # Waiting for n answers is repro.http.fan_in.
+    counters = sorted(str(path.relative_to(REPO))
+                      for path in (REPO / "src").rglob("*.py")
+                      if '["count"] -=' in path.read_text(encoding="utf-8"))
+    assert counters == []
+
+
+def test_nocdn_origin_object_get_is_built_in_one_module():
+    # ContentProvider.object_get is the one place the object URL is
+    # formatted; every sender asks it for the request.
+    src = REPO / "src" / "repro"
+    formatters = sorted(
+        str(path.relative_to(src))
+        for package in ("nocdn", "cdn")
+        for path in (src / package).glob("*.py")
+        if "objects_prefix}/" in path.read_text(encoding="utf-8"))
+    assert formatters == ["nocdn/origin.py"]
 
 
 # -- knobs only tests set -----------------------------------------------------
@@ -134,8 +158,9 @@ CALLER_ROOTS = ("src", "scripts", "benchmarks", "examples")
 # ``__init__`` parameters with a default that no call outside tests/
 # passes, as ``file:Class.param`` under src/. The list may only shrink:
 # make a knob nothing sets a constant, or delete its entry once a real
-# caller passes it. TimeSeriesDB's max_points and quantiles and
-# HomeMetricsPool's stream were the last to go.
+# caller passes it. NoCdnPeerService's forward_timeout and
+# upload_interval and InternetAtHomeService's upstream_timeout were the
+# last to go.
 KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/attic/backup.py:ColdCloudBackup.restore_latency",
     "repro/attic/cloudmirror.py:EncryptedCloudStore.port",
@@ -153,15 +178,12 @@ KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/iah/history.py:InterestProfile.half_life",
     "repro/iah/service.py:InternetAtHomeService.cache_bytes",
     "repro/iah/service.py:InternetAtHomeService.smoother",
-    "repro/iah/service.py:InternetAtHomeService.upstream_timeout",
     "repro/iah/web.py:Website.object_ttl",
     "repro/iah/web.py:Website.port",
     "repro/naming/dns.py:RequestRoutingZone.ttl",
     "repro/nat/devices.py:NatDevice.first_public_port",
     "repro/nat/traversal.py:TurnServer.first_relay_port",
     "repro/nocdn/directory.py:ContentDirectory.metrics",
-    "repro/nocdn/peer.py:NoCdnPeerService.forward_timeout",
-    "repro/nocdn/peer.py:NoCdnPeerService.upload_interval",
     "repro/nocdn/selection.py:TrustWeightedSelection.floor",
     "repro/nocdn/strategy.py:HashRing.vnodes",
     "repro/nocdn/strategy.py:ReplicateHotStrategy.hot_k",
