@@ -10,6 +10,7 @@ plus embedded objects, the structure NoCDN's wrapper page describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional
 
 from repro.util.crypto import content_hash
@@ -30,9 +31,17 @@ class WebObject:
         if self.version < 1:
             raise ValueError(f"version must be >= 1, got {self.version}")
 
-    @property
+    @cached_property
     def sha256(self) -> str:
-        """The real SHA-256 over the object's (derived) bytes."""
+        """The real SHA-256 over the object's (derived) bytes.
+
+        Computed on first read and kept in this instance's ``__dict__``
+        (``cached_property`` writes there, past the frozen
+        ``__setattr__``). Every field is frozen and a new version is a
+        new instance (:meth:`bump_version`, :meth:`tampered`,
+        ``dataclasses.replace``), so the digest never goes stale; the
+        cache lives exactly as long as the object does.
+        """
         return content_hash(self.name, self.version, self.size)
 
     @property

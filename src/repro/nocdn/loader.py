@@ -193,12 +193,15 @@ class PageLoader(PageFetcher):
         self.client.request(server, request, on_response, port=port,
                             on_error=on_error, timeout=timeout)
 
-    def _peer_get(self, endpoint, path: str, byte_range, on_response,
-                  on_error) -> None:
+    def _peer_get(self, endpoint, path: str, byte_range, etag: str,
+                  on_response, on_error) -> None:
         """GET ``path`` (its ``byte_range``) from the peer at
-        ``endpoint``; no answer within ``peer_timeout`` is a failure."""
+        ``endpoint``, ``If-Match`` the version the wrapper hashed; no
+        answer within ``peer_timeout`` is a failure."""
         address, port = endpoint
-        self._request((address, HttpRequest("GET", path, range=byte_range),
+        self._request((address,
+                       HttpRequest("GET", path, range=byte_range,
+                                   headers={"If-Match": etag}),
                        port), on_response, on_error, self.peer_timeout)
 
     def _post(self, target: Target) -> None:
@@ -249,15 +252,28 @@ class PageLoader(PageFetcher):
             verify_object(slot.item.object_name)
 
         def verify_object(name: str) -> None:
+            """Check ``name``'s bytes against the wrapper's hash once
+            every slot of it has an answer.
+
+            A group of one slot spanning ``[0, body.obj.size)`` is the
+            whole served object: its bytes are ``derive_payload`` of
+            ``body.obj``, so the digest is ``body.obj.sha256``, hashed
+            once per object instance. Any other group (chunked, partial
+            or mixed-source) is assembled and hashed here.
+            """
             group = per_object[name]
             if any(slot.body is None for slot in group):
                 return  # a chunk is still missing; its answer verifies again
-            assembled = b"".join(
-                derive_payload(s.body.obj.name, s.body.obj.version,
-                               s.body.obj.size)[s.item.start:s.item.end]
-                for s in sorted(group, key=lambda s: s.item.start)
-            )
-            if sha256_hex(assembled) == wrapper.hashes[name]:
+            only = group[0]
+            if (len(group) == 1 and only.item.start == 0
+                    and only.item.end == only.body.obj.size):
+                digest = only.body.obj.sha256
+            else:
+                digest = sha256_hex(b"".join(
+                    derive_payload(s.body.obj.name, s.body.obj.version,
+                                   s.body.obj.size)[s.item.start:s.item.end]
+                    for s in sorted(group, key=lambda s: s.item.start)))
+            if digest == wrapper.hashes[name]:
                 for slot in group:
                     if slot.server is not None:
                         credit = peer_credit.setdefault(slot.server, {})
@@ -315,7 +331,7 @@ class PageLoader(PageFetcher):
                     wrapper.peer_endpoints[peer_id],
                     f"{CONTENT_PREFIX}/{provider.site_name}/{item.object_name}",
                     None if item.start == 0 and item.end == obj.size
-                    else (item.start, item.end), got, failed)
+                    else (item.start, item.end), obj.etag, got, failed)
 
         for slot in slots:
             fetch(slot, slot.item.peer_id, {slot.item.peer_id})

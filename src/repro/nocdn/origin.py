@@ -330,6 +330,9 @@ class ContentProvider:
         if self.wrapper_reuse_ttl is not None:
             cached = self._wrapper_cache.get(page.url)
             if (cached is not None
+                    # A catalog update replaces the page: the cached
+                    # wrapper's hashes name the old versions.
+                    and cached.page is page
                     and self.sim.now <= cached.issued_at + self.wrapper_reuse_ttl
                     # Reusing past key expiry would extend caps on keys
                     # the audit no longer accepts — and authorize bytes

@@ -191,7 +191,13 @@ class NoCdnPeerService(HpopService):
                            headers={"ETag": obj.etag}))
 
         forwarded = HOP_HEADER in request.headers
+        wanted = request.headers.get("If-Match")
         disposition, entry = signup.cache.lookup(object_name, self.sim.now)
+        if (entry is not None and wanted is not None
+                and entry.obj.etag != wanted):
+            # Another version than the client's wrapper hashed (the
+            # origin has published an update): a miss, never served.
+            disposition, entry = CacheDisposition.MISS, None
         if disposition is CacheDisposition.FRESH:
             # Contract: FRESH hits are served in place, never forwarded.
             if forwarded:
@@ -257,10 +263,13 @@ class NoCdnPeerService(HpopService):
             else:
                 fill_from_origin()  # stale directory entry: 404 from peer
 
+        forward_headers = {HOP_HEADER: "1"}
+        if wanted is not None:
+            forward_headers["If-Match"] = wanted
         self._request(
             (target[0],
              HttpRequest("GET", f"{CONTENT_PREFIX}/{site}/{object_name}",
-                         headers={HOP_HEADER: "1"}),
+                         headers=forward_headers),
              target[1]),
             neighbor_answered, lambda _exc: fill_from_origin(),
             FORWARD_TIMEOUT)

@@ -5,6 +5,11 @@ payload bytes, and usage-record signatures are real HMAC-SHA256. Where the
 simulator models object *contents* abstractly (an object is a name plus a
 size), we derive deterministic pseudo-payload bytes from the object name
 and version so that hashing is still meaningful end to end.
+
+The functions here memoize nothing. An object's digest is a pure
+function of ``(name, version, size)``; it is computed once per object
+instance by :attr:`repro.http.content.WebObject.sha256`, so the cache
+lives and dies with the simulated world that holds the object.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """HTTP message and content-model tests."""
 
+import dataclasses
+
 import pytest
 
+import repro.util.crypto as crypto
 from repro.http.content import ContentCatalog, WebObject, WebPage
 from repro.http.messages import (
     HttpRequest,
@@ -100,6 +103,44 @@ class TestWebObject:
             WebObject("x", -1)
         with pytest.raises(ValueError):
             WebObject("x", 10, version=0)
+
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 4096, 50_001])
+    def test_hash_is_the_digest_of_the_derived_bytes(self, size):
+        obj = WebObject("app.js", size)
+        for variant in (obj, obj.bump_version(), obj.tampered(),
+                        obj.bump_version().tampered()):
+            assert variant.sha256 == crypto.sha256_hex(crypto.derive_payload(
+                variant.name, variant.version, variant.size))
+
+    def test_hash_is_computed_once_per_instance(self, monkeypatch):
+        calls = []
+        real = crypto.derive_payload
+        monkeypatch.setattr(crypto, "derive_payload",
+                            lambda *a: calls.append(a) or real(*a))
+        obj = WebObject("app.js", 4096)
+        assert "sha256" not in vars(obj)
+        first = obj.sha256
+        assert obj.sha256 is first and vars(obj)["sha256"] == first
+        assert calls == [("app.js", 1, 4096)]
+
+    def test_every_new_instance_starts_uncached(self):
+        obj = WebObject("app.js", 4096)
+        obj.sha256
+        for fresh in (dataclasses.replace(obj), dataclasses.replace(obj, size=10),
+                      obj.bump_version(), obj.tampered()):
+            assert "sha256" not in vars(fresh)
+        resized = dataclasses.replace(obj, size=10)
+        assert resized.sha256 == crypto.content_hash("app.js", 1, 10)
+        # The cache is not a field: equality and hashing ignore it.
+        twin = WebObject("app.js", 4096)
+        assert twin == obj and hash(twin) == hash(obj)
+
+    def test_stays_frozen(self):
+        obj = WebObject("app.js", 4096)
+        assert obj.__dataclass_params__.frozen
+        for name in ("version", "size", "sha256"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 2)
 
 
 class TestWebPage:
