@@ -242,6 +242,11 @@ class PageLoader(PageFetcher):
         objects_by_name = {o.name: o for o in wrapper.page.all_objects()}
 
         def all_settled(_answers) -> None:
+            # Every slot has its bytes, so no fetch is retried again:
+            # dropping the recursive fetch's reference to itself lets
+            # the load's state die by reference count.
+            nonlocal fetch
+            fetch = None
             self._send_usage_records(provider, wrapper, peer_credit)
             self._finish(result, on_done)
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-from itertools import compress
+from itertools import compress, islice
+from operator import eq
 from typing import (AbstractSet, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple, TYPE_CHECKING)
 
@@ -157,14 +158,28 @@ class HashRing:
                     ) -> Tuple[List[int], List[str]]:
         """The peers' vnode points as (points, owners), sorted as pairs.
 
-        Only these peers' points ever become tuples, and the tuples die
-        with this call: pairing up a whole ring to re-sort it costs
-        several times the merge, and a pair list alive beside the
-        arrays shows in a 10k-home fleet's peak RSS.
+        Only these peers' points are sorted: pairing up a whole ring to
+        re-sort it costs several times the merge. Tied points must fall
+        in owner order. Ties between 64-bit points practically never
+        happen, so the peers are ranked by id (a second pass) only when
+        some points tie.
         """
-        pairs = sorted((_hash_point(f"{peer_id}#{v}"), peer_id)
-                       for peer_id in peer_ids for v in range(self.vnodes))
-        return [p for p, _ in pairs], [o for _, o in pairs]
+        peers = list(peer_ids)
+        points, owners = self._packed_run(peers)
+        if any(map(eq, points, islice(points, 1, None))):
+            points, owners = self._packed_run(sorted(peers))
+        return points, owners
+
+    def _packed_run(self, peers: List[str]) -> Tuple[List[int], List[str]]:
+        """Sort each vnode as one packed int, ``(point << bits) | rank``
+        with ``rank`` its peer's index in ``peers``: no tuple per vnode.
+        The points come out sorted, and tied points in rank order."""
+        bits = max(1, (len(peers) - 1).bit_length())
+        mask = (1 << bits) - 1
+        packed = sorted((_hash_point(f"{peer_id}#{v}") << bits) | rank
+                        for rank, peer_id in enumerate(peers)
+                        for v in range(self.vnodes))
+        return [p >> bits for p in packed], [peers[p & mask] for p in packed]
 
     def owner(self, key: str, live: Iterable[str]) -> Optional[str]:
         """First live ring successor of ``key``, or None if none live."""

@@ -9,6 +9,10 @@ time ratio (how many host seconds one simulated second costs), and
 exports the standard collapsed-stack format that flamegraph tooling
 (``flamegraph.pl``, speedscope, inferno) consumes directly.
 
+While attached it also times Python's cyclic garbage collector (via
+``gc.callbacks``): a collection is charged to its own ``gc.gen<N>``
+row, not to whichever event's allocation happened to trigger it.
+
 Profiles are wall-clock measurements and therefore *not* run-to-run
 deterministic; ``profile.json`` / ``profile.collapsed`` are the only
 run artifacts outside the byte-identity contract.
@@ -16,7 +20,9 @@ run artifacts outside the byte-identity contract.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import gc
+import weakref
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.document import Block, Document, Section, Table, to_text
 
@@ -31,6 +37,9 @@ def profile_blocks(profile: Dict[str, Any], top: int = 10) -> List[Block]:
     total = profile.get("wall_seconds") or 1.0
     ranked = sorted(profile.get("labels", {}).items(),
                     key=lambda kv: (-kv[1]["wall_s"], kv[0]))[:top]
+    ranked += [(f"gc.{gen}", stat)
+               for gen, stat in sorted(profile.get("collector", {}).items())
+               if stat["count"]]
     return [
         f"{profile.get('events', 0)} events · "
         f"{profile.get('wall_seconds', 0) * 1e3:.1f} ms wall · "
@@ -66,41 +75,68 @@ class LoopProfiler:
     """Per-label wall-clock attribution for a simulator's event loop.
 
     ``record`` is called by the engine once per fired event with the
-    measured wall duration of its callback; everything else is
-    read-side. The profiler never touches simulated state, RNG streams,
+    measured wall duration of its callback and the collector pause
+    inside it; everything else is read-side. Given a host ``clock``
+    (the engine passes its own), the profiler also times every
+    collection per generation until :meth:`detach`. The profiler never
+    touches simulated state, RNG streams,
     or the event heap, so enabling it cannot change a run's outcome —
     only its speed, and only while attached: detaching the last
     instrument restores the engine's plain loop (``sim._dispatch is
     None``), the same code a never-profiled simulator runs.
     """
 
-    def __init__(self, sim: Any) -> None:
+    def __init__(self, sim: Any,
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self._sim = sim
         self.stats: Dict[str, LabelStat] = {}
         self.events = 0
         self.wall_seconds = 0.0
         self.sim_started_at = float(sim.now)
         self.sim_last_event_at = float(sim.now)
+        # Collections per generation and their wall; collector_seconds
+        # is the running total the engine reads around each event.
+        self.collections = [0, 0, 0]
+        self.collection_seconds = [0.0, 0.0, 0.0]
+        self.collector_seconds = 0.0
+        self._detach = None
+        if clock is not None:
+            hook = _collector_hook(weakref.ref(self), clock)
+            gc.callbacks.append(hook)
+            # Unhooked on detach, or when the profiler itself dies.
+            self._detach = weakref.finalize(self, gc.callbacks.remove, hook)
+
+    def detach(self) -> None:
+        """Stop timing collections (idempotent); stats stay readable."""
+        if self._detach is not None:
+            self._detach()
 
     # -- engine integration -------------------------------------------------
 
-    def record(self, event: Any, wall: float) -> None:
-        """Attribute ``wall`` seconds to ``event`` (engine hot path)."""
+    def record(self, event: Any, wall: float, paused: float = 0.0) -> None:
+        """Attribute ``wall`` seconds to ``event`` (engine hot path),
+        less the ``paused`` seconds the collector ran inside it."""
         label = event.label
         stat = self.stats.get(label)
         if stat is None:
             self.stats[label] = stat = LabelStat(label)
+        own = wall - paused
         stat.count += 1
-        stat.wall_seconds += wall
+        stat.wall_seconds += own
         qualname = getattr(event.callback, "__qualname__", "<callable>")
         cb = stat.callbacks.get(qualname)
         if cb is None:
             stat.callbacks[qualname] = cb = [0, 0.0]
         cb[0] += 1
-        cb[1] += wall
+        cb[1] += own
         self.events += 1
         self.wall_seconds += wall
         self.sim_last_event_at = event.time
+
+    def _collected(self, generation: int, pause: float) -> None:
+        self.collections[generation] += 1
+        self.collection_seconds[generation] += pause
+        self.collector_seconds += pause
 
     # -- derived views -------------------------------------------------------
 
@@ -154,6 +190,10 @@ class LoopProfiler:
                 count, wall = stat.callbacks[qualname]
                 stack = ";".join(["sim"] + frames + [qualname])
                 lines.append(f"{stack} {max(1, round(wall * 1e6))}")
+        for gen, (count, wall) in enumerate(zip(self.collections,
+                                                self.collection_seconds)):
+            if count:
+                lines.append(f"sim;gc;gen{gen} {max(1, round(wall * 1e6))}")
         return lines
 
     def export_collapsed(self, path: str) -> int:
@@ -177,4 +217,29 @@ class LoopProfiler:
                 label: {"count": stat.count, "wall_s": stat.wall_seconds}
                 for label, stat in sorted(self.stats.items())
             },
+            "collector": {
+                f"gen{gen}": {"count": count, "wall_s": wall}
+                for gen, (count, wall) in enumerate(
+                    zip(self.collections, self.collection_seconds))
+            },
         }
+
+
+def _collector_hook(ref: "weakref.ref[LoopProfiler]",
+                    clock: Callable[[], float]) -> Callable[..., None]:
+    """A ``gc.callbacks`` entry timing each collection for the profiler
+    ``ref`` names; it holds the profiler weakly, so an attached
+    profiler never keeps a finished world alive."""
+    started = 0.0
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        nonlocal started
+        profiler = ref()
+        if profiler is None:
+            return
+        if phase == "start":
+            started = clock()
+        else:
+            profiler._collected(info["generation"], clock() - started)
+
+    return hook

@@ -64,6 +64,11 @@ class Event:
     cancelling an event that already fired (e.g. a timeout whose
     response arrived first, cleaned up afterwards) is a no-op, not a
     double-decrement of the simulator's live-event accounting.
+
+    A cancelled or fired event holds neither ``callback`` nor ``ctx``:
+    a cancelled timeout does not keep its exchange's closures alive
+    until its deadline, and an owner that keeps its last event (a
+    flow's pending round) forms no cycle with it.
     """
 
     __slots__ = ("time", "callback", "label", "weak", "ctx", "_sim",
@@ -97,6 +102,7 @@ class Event:
         """
         if self._state == _PENDING:
             self._state = _CANCELLED
+            self.callback = self.ctx = None
             sim = self._sim
             if sim is not None:
                 sim._pending -= 1
@@ -219,13 +225,17 @@ class Simulator:
                            event: Event) -> None:
         # The profiler times whatever the tracer does around the
         # callback as well, so its wall covers the traced cost.
+        # A collection inside the callback is charged to the
+        # collector's own row, not to this event's label.
         profiler = self.profiler
+        paused = profiler.collector_seconds
         t0 = perf_counter()
         if traced is None:
             event.callback()
         else:
             traced(event)
-        profiler.record(event, perf_counter() - t0)
+        profiler.record(event, perf_counter() - t0,
+                        profiler.collector_seconds - paused)
 
     def _drain(self, until: float, budget: int, strong_only: bool,
                runaway: bool) -> int:
@@ -266,6 +276,9 @@ class Simulator:
                 event.callback()
             else:
                 dispatch(event)
+            # Done: drop what it ran, so the state its callback closed
+            # over dies by reference count (see Event).
+            event.callback = event.ctx = None
             self._events_fired += 1
             fired += 1
         return fired
@@ -310,7 +323,8 @@ class Simulator:
 
     # -- tracing ---------------------------------------------------------
 
-    # profile_events: ignored; frozen benchmarks/platform passes it (ROADMAP 4)
+    # profile_events: ignored; the frozen benchmarks/platform passes it
+    # (ROADMAP 2(c))
     def enable_tracing(self, capacity: int = 65536,
                        trace_events: bool = True,
                        profile_events: bool = False) -> Tracer:
@@ -350,12 +364,14 @@ class Simulator:
         """
         if self.profiler is None:
             from repro.obs.profile import LoopProfiler  # avoid cycle
-            self.profiler = LoopProfiler(self)
+            self.profiler = LoopProfiler(self, clock=perf_counter)
         self._select_dispatch()
         return self.profiler
 
     def disable_profiling(self) -> None:
         """Detach the profiler; recorded stats remain readable on it."""
+        if self.profiler is not None:
+            self.profiler.detach()
         self.profiler = None
         self._select_dispatch()
 

@@ -87,8 +87,10 @@ class MptcpSubflow:
     # -- engine -----------------------------------------------------------
 
     def _round(self) -> None:
-        if self._removed or self.connection.done:
+        # A completed connection has removed every subflow.
+        if self._removed:
             return
+        connection = self.connection
         if not all(d.link.up for d in self.path.directions):
             # Path partitioned: withdraw this subflow; any bytes it had
             # claimed return to the pool for the surviving subflows —
@@ -99,7 +101,7 @@ class MptcpSubflow:
         rtt = self.rtt
         share_bps = self.path.fair_share_bps(self)
         want = window.rate_bps(share_bps, rtt) * rtt / 8 * self.weight
-        claimed = self.connection.claim(min(want, window.cwnd))
+        claimed = connection.claim(min(want, window.cwnd))
         if claimed <= 0:
             self._parked = True
             return
@@ -119,15 +121,15 @@ class MptcpSubflow:
             self._in_flight -= claimed
             if self._removed:
                 # Withdrawn mid-round: everything goes back to the pool.
-                self.connection.restore(claimed)
+                connection.restore(claimed)
                 return
             self.stats.rounds += 1
             self.stats.bytes_delivered += delivered
             self.stats.progress.append((self.sim.now, self.stats.bytes_delivered))
             if lost_bytes > 0:
-                self.connection.restore(lost_bytes)
-            self.connection.deliver(delivered)
-            if not self.connection.done:
+                connection.restore(lost_bytes)
+            connection.deliver(delivered)
+            if not connection.done:
                 self.sim.call_soon(self._round, label=f"{self.label}.round")
 
         self.sim.schedule(rtt + pause, round_end,
@@ -135,7 +137,7 @@ class MptcpSubflow:
 
     def unpark(self) -> None:
         """Resume claiming after the pool regained bytes."""
-        if self._parked and not self._removed and not self.connection.done:
+        if self._parked and not self._removed:
             self._parked = False
             self.sim.call_soon(self._round, label=f"{self.label}.round")
 
@@ -147,6 +149,9 @@ class MptcpSubflow:
         self._removed = True
         self.stats.end_time = self.sim.now
         self.path.unregister_flow(self)
+        # A round still in flight holds the connection itself, so the
+        # back-reference can go: connection and subflow form no cycle.
+        self.connection = None
 
 
 class MptcpConnection:
@@ -204,8 +209,9 @@ class MptcpConnection:
         for subflow in self.subflows:
             if not subflow.removed:
                 subflow.remove()
-        if self.on_complete is not None:
-            self.on_complete(self)
+        on_complete, self.on_complete = self.on_complete, None
+        if on_complete is not None:
+            on_complete(self)
 
     @property
     def done(self) -> bool:
@@ -243,7 +249,7 @@ class MptcpConnection:
 
     def remove_subflow(self, subflow: MptcpSubflow) -> None:
         """Withdraw a subflow; its unfinished bytes are recovered by the rest."""
-        if subflow.connection is not self:
+        if subflow not in self.subflows:
             raise ValueError("subflow belongs to a different connection")
         subflow.remove()
 

@@ -22,7 +22,7 @@ mean_rates`), the cohort total is Gamma(n, mean) — one RNG draw and one
 
 from __future__ import annotations
 
-from array import array
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
@@ -201,14 +201,15 @@ class HomeMetricsPool:
         self._ticks = 0
         self.cohort = RollupCohort(f"n{index}", num_homes, HOME_METRICS,
                                    k=k, every=every)
-        # The hot set is the `hot` smallest home indices by hash order —
-        # a pure function of (index, salt), stable across runs.
-        ranked = sorted(range(num_homes),
-                        key=lambda i: (trace_hash(i, self._salt), i))
-        self._hot = ranked[:min(hot, num_homes)]
+        # The hot set is the `hot` smallest home indices by hash order,
+        # ties by index — a pure function of (index, salt), stable
+        # across runs.
+        self._hot = heapq.nsmallest(
+            hot, range(num_homes), key=lambda i: trace_hash(i, self._salt))
         self._churn = min(churn, num_homes)
-        self._steps = array("d", (1 + trace_hash(i, self._salt + 1) % 7
-                                  for i in range(num_homes)))
+        # A home's step (1..7), drawn on its first bump (0: not yet):
+        # few homes ever bump.
+        self._steps = [0] * num_homes
 
     def start(self) -> "HomeMetricsPool":
         self._process.every(self.tick, self._tick, label=self._stream)
@@ -220,6 +221,8 @@ class HomeMetricsPool:
     def _bump(self, home: int, heavy: bool) -> None:
         cohort = self.cohort
         step = self._steps[home]
+        if not step:
+            step = self._steps[home] = 1 + trace_hash(home, self._salt + 1) % 7
         if heavy:
             # Three mutations per tick against one: mutation counts are
             # the loudness signal the sketch ranks on.

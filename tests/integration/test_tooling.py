@@ -444,7 +444,7 @@ def test_host_clock_is_read_in_four_named_files():
 
 def test_only_the_frozen_benchmark_still_passes_profile_events():
     # Simulator.enable_tracing ignores it; the parameter goes when
-    # benchmarks/platform/scenarios.py stops passing it (ROADMAP item 4).
+    # benchmarks/platform/scenarios.py stops passing it (ROADMAP item 2(c)).
     # A dict key counts: ``enable_tracing(**LITE)`` is how tests passed it.
     passing = {
         str(path.relative_to(REPO))

@@ -1,5 +1,7 @@
 """Event-loop profiler: attribution, derived ratios, flamegraph export."""
 
+import gc
+
 import pytest
 
 from repro.obs.profile import LabelStat, LoopProfiler
@@ -152,3 +154,54 @@ class TestEngineIntegration:
         sim.run()
         assert prof.events == 1
         assert tracer.events_traced == 1
+
+
+class TestCollectorPauses:
+    def run_collecting(self, sim):
+        sim.schedule(1.0, gc.collect, label="alloc.heavy")
+        sim.run()
+
+    def test_pauses_are_their_own_row_not_the_events(self):
+        sim = Simulator(seed=1)
+        prof = sim.enable_profiling()
+        self.run_collecting(sim)
+        assert prof.collections[2] >= 1
+        pause = prof.collection_seconds[2]
+        assert pause > 0
+        # The full collection ran inside the event, yet its label is
+        # charged only for the callback's own work.
+        assert prof.stats["alloc.heavy"].wall_seconds < pause
+        assert prof.wall_seconds >= pause
+        summary = prof.to_dict()
+        assert summary["collector"]["gen2"]["count"] == prof.collections[2]
+        text = prof.render()
+        assert "gc.gen2" in text
+        assert any(line.startswith("sim;gc;gen2 ")
+                   for line in prof.collapsed_stacks())
+        sim.disable_profiling()
+
+    def test_detach_unhooks_the_collector(self):
+        hooks = len(gc.callbacks)
+        sim = Simulator(seed=1)
+        prof = sim.enable_profiling()
+        assert len(gc.callbacks) == hooks + 1
+        sim.disable_profiling()
+        assert len(gc.callbacks) == hooks
+        gc.collect()
+        assert prof.collections == [0, 0, 0]  # no longer timing
+
+    def test_a_dropped_profiled_world_unhooks_itself(self):
+        hooks = len(gc.callbacks)
+        sim = Simulator(seed=1)
+        sim.enable_profiling()
+        del sim
+        gc.collect()
+        assert len(gc.callbacks) == hooks
+
+    def test_profiler_without_a_clock_times_nothing(self):
+        hooks = len(gc.callbacks)
+        prof = LoopProfiler(Simulator())
+        gc.collect()
+        assert len(gc.callbacks) == hooks
+        assert prof.to_dict()["collector"]["gen2"] == {"count": 0,
+                                                       "wall_s": 0.0}
