@@ -58,14 +58,29 @@ class HttpCache:
         self.revalidations = 0
         self.refreshed_in_place = 0
         # Owners pass their registry so cache traffic shows up next to
-        # the service's own counters; standalone caches count privately.
-        self.metrics = metrics if metrics is not None else MetricsRegistry(
-            namespace="http_cache")
-        self._hits = self.metrics.counter(
+        # the service's own counters; a standalone cache counts in a
+        # private registry, born on its first lookup (or read), so a
+        # cache nobody asks allocates none.
+        self._metrics: Optional[MetricsRegistry] = None
+        if metrics is not None:
+            self._register_metrics(metrics)
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        if self._metrics is None:
+            self._register_metrics()
+        return self._metrics
+
+    def _register_metrics(self,
+                          registry: Optional[MetricsRegistry] = None) -> None:
+        if registry is None:
+            registry = MetricsRegistry(namespace="http_cache")
+        self._metrics = registry
+        self._hits = registry.counter(
             "cache_hits", help="Lookups served fresh from cache")
-        self._misses = self.metrics.counter(
+        self._misses = registry.counter(
             "cache_misses", help="Lookups with no cached copy")
-        self._stale = self.metrics.counter(
+        self._stale = registry.counter(
             "cache_stale", help="Lookups needing revalidation")
 
     @property
@@ -81,6 +96,8 @@ class HttpCache:
 
     def lookup(self, name: str, now: float) -> tuple:
         """(disposition, entry-or-None)."""
+        if self._metrics is None:
+            self._register_metrics()
         entry = self._store.get(name)
         if entry is None:
             self._misses.inc()

@@ -82,13 +82,26 @@ class HttpClient:
         self._pool: Dict[Tuple, TcpConnection] = {}
         self.exchanges_completed = 0
         self.exchanges_failed = 0
-        self.metrics = MetricsRegistry(namespace="http")
-        self._request_latency = self.metrics.histogram(
+        # Born on first use: most clients of a fleet never finish an
+        # exchange, and an idle home should allocate nothing.
+        self._metrics: Optional[MetricsRegistry] = None
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The ``http`` registry; an exporter that reaches it before any
+        exchange ends sees zeroed counters and an empty histogram."""
+        if self._metrics is None:
+            self._register_metrics()
+        return self._metrics
+
+    def _register_metrics(self) -> None:
+        self._metrics = registry = MetricsRegistry(namespace="http")
+        self._request_latency = registry.histogram(
             "request_latency_seconds",
             help="Start-to-response time of completed exchanges")
-        self._requests_ok = self.metrics.counter(
+        self._requests_ok = registry.counter(
             "requests_ok", help="Exchanges that produced a response")
-        self._requests_failed = self.metrics.counter(
+        self._requests_failed = registry.counter(
             "requests_failed", help="Exchanges that timed out or errored")
 
     @property
@@ -127,6 +140,8 @@ class HttpClient:
                 return
             finished["done"] = True
             self.exchanges_failed += 1
+            if self._metrics is None:
+                self._register_metrics()
             self._requests_failed.inc()
             span.finish(error=message)
             if on_error is not None:
@@ -175,6 +190,8 @@ class HttpClient:
                 stats.completed_at = self.sim.now
                 stats.response_bytes = response.body_size
                 self.exchanges_completed += 1
+                if self._metrics is None:
+                    self._register_metrics()
                 self._requests_ok.inc()
                 self._request_latency.observe(stats.total_time)
                 span.finish(status=response.status,

@@ -10,12 +10,16 @@ counters and a utilization probe support the bottleneck-shift experiment
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Dict, List, Optional, Tuple
 
 from repro.util.units import format_bps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.node import Node
+
+# The flow set of every direction no flow has crossed yet: shared, so an
+# idle link costs no set of its own.
+_NO_FLOWS: AbstractSet[object] = frozenset()
 
 
 @dataclass(slots=True)
@@ -47,11 +51,13 @@ class LinkDirection:
         self.bandwidth_bps = bandwidth_bps
         self.loss_rate = loss_rate
         self.stats = DirectionStats()
-        self._flows: Set[object] = set()
-        # bin index -> bytes carried in that interval. A dict (rather
-        # than a flush-on-read sample list) makes mid-run reads
+        # A set of its own from the first register_flow on.
+        self._flows: AbstractSet[object] = _NO_FLOWS
+        # bin index -> bytes carried in that interval, from
+        # enable_utilization_sampling on. A dict (rather than a
+        # flush-on-read sample list) makes mid-run reads
         # non-destructive: utilization_series() just sorts a snapshot.
-        self._bins: Dict[int, float] = {}
+        self._bins: Optional[Dict[int, float]] = None
         self._sample_interval: Optional[float] = None
 
     @property
@@ -61,13 +67,17 @@ class LinkDirection:
     # -- flow registry (for fair sharing) -------------------------------
 
     def register_flow(self, flow: object) -> None:
-        self._flows.add(flow)
+        flows = self._flows
+        if flows is _NO_FLOWS:
+            flows = self._flows = set()
+        flows.add(flow)
 
     def unregister_flow(self, flow: object) -> None:
-        self._flows.discard(flow)
+        if self._flows is not _NO_FLOWS:
+            self._flows.discard(flow)
 
     @property
-    def active_flows(self) -> Set[object]:
+    def active_flows(self) -> AbstractSet[object]:
         return self._flows
 
     @property
@@ -120,6 +130,8 @@ class LinkDirection:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self._sample_interval = interval
+        if self._bins is None:
+            self._bins = {}
 
     def utilization_series(self) -> List[Tuple[float, float]]:
         """(interval_start, fraction_of_capacity) samples collected so far.

@@ -49,6 +49,9 @@ class PageLoadResult:
     bytes_from_origin: int = 0
     corrupted: List[Tuple[str, str]] = field(default_factory=list)  # (object, peer)
     peer_failures: List[Tuple[str, str]] = field(default_factory=list)
+    # Objects of a wrapped load with a range no source delivered (every
+    # peer and the origin failed it): the page is incomplete.
+    missing: List[str] = field(default_factory=list)
     direct_mode: bool = False
     wrapper_bytes: int = 0
 
@@ -260,29 +263,39 @@ class PageLoader(PageFetcher):
             """Check ``name``'s bytes against the wrapper's hash once
             every slot of it has an answer.
 
-            A group of one slot spanning ``[0, body.obj.size)`` is the
-            whole served object: its bytes are ``derive_payload`` of
-            ``body.obj``, so the digest is ``body.obj.sha256``, hashed
-            once per object instance. Any other group (chunked, partial
-            or mixed-source) is assembled and hashed here.
+            Each slot is judged by the bytes its body holds, never by
+            the range it asked for. A group of one slot whose body spans
+            ``[0, body.obj.size)`` is the whole served object: its bytes
+            are ``derive_payload`` of ``body.obj``, so the digest is
+            ``body.obj.sha256``, hashed once per object instance. Any
+            other group (chunked, partial or mixed-source) is assembled
+            and hashed here. A mismatch with a short body from no peer
+            in the group is the zero-length stand-in of
+            ``_origin_recover_chunk``: no source could serve that range,
+            so the object is missing, and no peer is blamed or credited
+            for it.
             """
             group = per_object[name]
             if any(slot.body is None for slot in group):
                 return  # a chunk is still missing; its answer verifies again
-            only = group[0]
-            if (len(group) == 1 and only.item.start == 0
-                    and only.item.end == only.body.obj.size):
-                digest = only.body.obj.sha256
+            only = group[0].body
+            if len(group) == 1 and only.start == 0 and only.end == only.obj.size:
+                digest = only.obj.sha256
             else:
                 digest = sha256_hex(b"".join(
                     derive_payload(s.body.obj.name, s.body.obj.version,
-                                   s.body.obj.size)[s.item.start:s.item.end]
+                                   s.body.obj.size)[s.body.start:s.body.end]
                     for s in sorted(group, key=lambda s: s.item.start)))
             if digest == wrapper.hashes[name]:
                 for slot in group:
                     if slot.server is not None:
                         credit = peer_credit.setdefault(slot.server, {})
                         credit[name] = credit.get(name, 0) + slot.body.size
+                for _ in group:
+                    settled()
+            elif any(s.server is None and s.body.size < s.item.size
+                     for s in group):
+                result.missing.append(name)
                 for _ in group:
                     settled()
             else:
@@ -369,8 +382,8 @@ class PageLoader(PageFetcher):
                 give_up()
 
         def give_up(_exc=None) -> None:
-            # A zero-length stand-in makes the object's hash check fail
-            # loudly rather than hanging the load forever.
+            # A zero-length stand-in settles the slot rather than
+            # hanging the load forever; verification reads it as missing.
             fill(slot, ChunkBody(obj=obj, start=item.start, end=item.start),
                  None)
 

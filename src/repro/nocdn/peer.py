@@ -115,7 +115,6 @@ class NoCdnPeerService(HpopService):
     # -- lifecycle --------------------------------------------------------
 
     def on_install(self, hpop: Hpop) -> None:
-        self._client = HttpClient(hpop.host, hpop.network)
         hpop.http.route_async(CONTENT_PREFIX, self._serve_content)
         hpop.http.route(USAGE_PREFIX, self._accept_usage_record)
 
@@ -276,11 +275,17 @@ class NoCdnPeerService(HpopService):
 
     def _request(self, target: Target, on_response, on_error,
                  timeout: Optional[float] = None) -> None:
-        """The one request site: origin fill, neighbour forward, upload."""
-        assert self._client is not None
+        """The one request site: origin fill, neighbour forward, upload.
+        The client is born on the first upstream request: a peer that
+        only serves from its cache, or never serves, has none."""
+        client = self._client
+        if client is None:
+            assert self.hpop is not None
+            client = self._client = HttpClient(self.hpop.host,
+                                               self.hpop.network)
         server, request, port = target
-        self._client.request(server, request, on_response, port=port,
-                             on_error=on_error, timeout=timeout)
+        client.request(server, request, on_response, port=port,
+                       on_error=on_error, timeout=timeout)
 
     def _maybe_store(self, signup: ProviderSignup, obj: WebObject) -> None:
         """Cache ``obj`` unless the provider's partitioning strategy says

@@ -405,25 +405,10 @@ class Process:
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive, got {interval}")
-        key = label or f"{self.name}.periodic"
-
-        def next_delay() -> float:
-            if jitter_stream is None:
-                return interval
-            rng = self.sim.rng.stream(jitter_stream)
-            return interval * rng.uniform(0.9, 1.1)
-
-        def fire() -> None:
-            if self._stopped:
-                return
-            callback()
-            self._periodic[key] = self.sim.schedule(next_delay(), fire,
-                                                    label=key, weak=True)
-
         # Periodic work is weak (daemon-like): it must not keep run()
         # from reaching quiescence.
-        self._periodic[key] = self.sim.schedule(next_delay(), fire, label=key,
-                                                weak=True)
+        _Periodic(self, interval, callback, label or f"{self.name}.periodic",
+                  jitter_stream).schedule()
 
     def stop(self) -> None:
         """Cancel periodic work; idempotent."""
@@ -435,3 +420,38 @@ class Process:
     @property
     def stopped(self) -> bool:
         return self._stopped
+
+
+class _Periodic:
+    """One :meth:`Process.every` task.
+
+    Its pending event holds its bound :meth:`fire`, and nothing of it
+    refers back to itself, so once :meth:`Process.stop` cancels that
+    event the task dies by reference count, not by the collector.
+    """
+
+    __slots__ = ("process", "interval", "callback", "key", "jitter_stream")
+
+    def __init__(self, process: Process, interval: float,
+                 callback: Callable[[], None], key: str,
+                 jitter_stream: Optional[str]) -> None:
+        self.process = process
+        self.interval = interval
+        self.callback = callback
+        self.key = key
+        self.jitter_stream = jitter_stream
+
+    def schedule(self) -> None:
+        process = self.process
+        delay = self.interval
+        if self.jitter_stream is not None:
+            rng = process.sim.rng.stream(self.jitter_stream)
+            delay *= rng.uniform(0.9, 1.1)
+        process._periodic[self.key] = process.sim.schedule(
+            delay, self.fire, label=self.key, weak=True)
+
+    def fire(self) -> None:
+        if self.process._stopped:
+            return
+        self.callback()
+        self.schedule()

@@ -96,6 +96,30 @@ class TestChunkedVerification:
                       for info in world.provider.peers.values())
         assert reports == len(result.corrupted)
 
+    def test_a_range_no_source_could_serve_is_missing_not_clean(self):
+        """Every source of one chunk fails and the origin copy is gone:
+        the zero-length stand-in for that chunk must not verify as the
+        genuine object, and the peers that served the other chunks are
+        neither blamed nor credited."""
+        first, second = NoCdnPeerService(), NoCdnPeerService()
+        world, page = self.world([first, second])
+        name = "page0-obj0.bin"
+        warm = world.load_page("/page0")  # both peers cache the object
+        assert warm.corrupted == [] and warm.missing == []
+        first.signup_for(world.provider.site_name).cache.invalidate(name)
+        del world.catalog._objects[name]
+        records_before = world.loader.records_sent
+        result = world.load_page("/page0")
+        assert result.missing == [name]
+        assert result.corrupted == []
+        assert {peer for _obj, peer in result.peer_failures} == {
+            first.peer_id}
+        # One usage record: the container's. The object's genuine
+        # chunks were never verified, so they earn nothing.
+        assert world.loader.records_sent - records_before == 1
+        assert result.bytes_from_peers < page.total_size
+        assert result.bytes_from_origin == 0
+
 
 def test_e7_integrity_facts_are_unchanged():
     report = load_experiment(discover(REPO_ROOT / "benchmarks")["e7"])()

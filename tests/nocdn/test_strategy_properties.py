@@ -9,7 +9,9 @@ contract). The directory property is convergence: once gossip
 quiesces, its entries mirror the caches they describe.
 """
 
+import gc
 import random
+import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -201,7 +203,7 @@ class TestIncrementalRing:
         ring.add_peer("joiner")
         ring.arc_shares(members)
         assert sorted(hashed) == sorted(
-            f"joiner#{v}" for v in range(ring.vnodes))
+            f"joiner#{v}".encode() for v in range(ring.vnodes))
         del hashed[:]
         ring.remove_peer("peer7")
         ring.arc_shares(members)
@@ -213,6 +215,27 @@ class TestIncrementalRing:
         ring.arc_shares(members)
         assert hashed == []
         assert ring._owners == bulk_built(ring.peers, 64)._owners
+
+
+class TestRingMemory:
+    # Bytes per vnode a bulk-built ring holds: an 8-byte array slot per
+    # point and an 8-byte owner slot. A list of Python ints read 52.6.
+    MAX_BYTES_PER_VNODE = 20
+
+    def test_bulk_built_ring_bytes_per_vnode(self):
+        members = {f"peer{i}" for i in range(1000)}
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ring = HashRing()
+            for pid in members:
+                ring.add_peer(pid)
+            assert ring.owner("key", members) in members  # the bulk build
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ring._points) == 64 * len(members)
+        assert held / len(ring._points) <= self.MAX_BYTES_PER_VNODE
 
 
 ops = st.lists(
