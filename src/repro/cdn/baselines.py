@@ -176,10 +176,12 @@ class BaselinePageLoader(PageFetcher):
                                 object_count=page.object_count,
                                 direct_mode=origin_side)
 
-        def account(resp) -> None:
-            if resp.ok and origin_side:
+        def account(obj, resp) -> None:
+            if resp is None or not resp.ok:
+                result.missing.append(obj.name)
+            elif origin_side:
                 result.bytes_from_origin += resp.body_size
-            elif resp.ok:
+            else:
                 result.bytes_from_peers += resp.body_size
 
         def done() -> None:

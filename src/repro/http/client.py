@@ -265,18 +265,26 @@ class PageFetcher:
         return self.network.sim
 
     def _fetch_all(self, objects, target_for: Callable[[Any], Target],
-                   account: Callable[[HttpResponse], None],
+                   account: Callable[[Any, Optional[HttpResponse]], None],
                    on_done: Callable[[], None]) -> None:
         """Request every one of ``objects`` from ``target_for(obj)`` at
-        once; ``account(response)`` books each answer (a failed exchange
-        books nothing), ``on_done()`` runs after the last."""
+        once; ``account(obj, response)`` books each object's answer
+        (``response`` is None when its exchange failed), ``on_done()``
+        runs after the last."""
         one = fan_in(len(objects), lambda _answers: on_done())
 
-        def answered(resp: HttpResponse, _stats) -> None:
-            account(resp)
-            one()
+        def fetch(obj) -> None:
+            def answered(resp: HttpResponse, _stats) -> None:
+                account(obj, resp)
+                one()
 
-        for obj in objects:
+            def failed(_exc) -> None:
+                account(obj, None)
+                one()
+
             server, request, port = target_for(obj)
             self.client.request(server, request, answered, port=port,
-                                on_error=one)
+                                on_error=failed)
+
+        for obj in objects:
+            fetch(obj)

@@ -127,7 +127,9 @@ class HomeBrowser(PageFetcher):
                                  completed_at=self.sim.now,
                                  object_count=page.object_count)
 
-        def booked(resp) -> None:
+        def booked(_obj, resp) -> None:
+            if resp is None:
+                return  # a failed exchange books nothing
             if resp.ok:
                 result.bytes_total += resp.body_size
             account(result, resp)

@@ -1,9 +1,13 @@
 """The network container: topology graph, routing, paths, datagrams.
 
-Routing is static shortest-path (by propagation delay) over the link
-graph, recomputed lazily when topology or link state changes. Paths are
-symmetric (the reverse path traverses the same links), which matches the
-paper's setting well enough and keeps RTT well-defined.
+Routing is static shortest-path over the link graph, by each link's
+``routing_weight`` (propagation delay unless ``connect`` overrides it;
+fixed when the link is added). The graph is a plain adjacency dict and
+the solver a bidirectional Dijkstra in this module, so routing imports
+nothing outside the stdlib. Routes are recomputed lazily when topology
+or link state changes. Paths are symmetric (the reverse path traverses
+the same links), which matches the paper's setting well enough and keeps
+RTT well-defined.
 
 Rate allocation uses the standard flow-level "equal share at each link"
 model: a flow's network-limited rate is the minimum over its links of
@@ -15,9 +19,9 @@ need demand-aware allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.metrics.counters import MetricsRegistry
 from repro.net.address import Address, AddressPool, Prefix
@@ -120,7 +124,11 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
         self._by_address: Dict[Address, Node] = {}
-        self._graph = nx.Graph()
+        # node name -> {neighbour name -> Link}: the routable links. A
+        # parallel link replaces its pair's entry in place, a failed one
+        # leaves both directions, and a restored one goes to the end of
+        # both endpoints' dicts (insertion order can decide a tie).
+        self._adj: Dict[str, Dict[str, Link]] = {}
         self._path_cache: Dict[Tuple[str, str], Path] = {}
         self._routing_epoch = 0
         # Bumped by every Node.power_off/power_on, so a cache of "which
@@ -164,7 +172,7 @@ class Network:
         if node.name in self.nodes:
             raise NetworkError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._adj[node.name] = {}
 
     def register_address(self, address: Address, node: Node) -> None:
         existing = self._by_address.get(address)
@@ -206,25 +214,28 @@ class Network:
             bandwidth_ba_bps=bandwidth_ba_bps, loss_rate_ba=loss_rate_ba,
         )
         self.links[link.name] = link
-        weight = routing_weight if routing_weight is not None else delay
-        link.routing_weight = weight
-        self._graph.add_edge(a.name, b.name, weight=weight, link=link)
-        self._invalidate_routes()
+        if routing_weight is not None:
+            link.routing_weight = routing_weight
+        self._add_edge(link)
         return link
+
+    def _add_edge(self, link: Link) -> None:
+        self._adj[link.a.name][link.b.name] = link
+        self._adj[link.b.name][link.a.name] = link
+        self._invalidate_routes()
 
     def fail_link(self, link: Link) -> None:
         """Failure injection: remove the link from routing until restored."""
         link.fail()
-        if self._graph.has_edge(link.a.name, link.b.name):
-            self._graph.remove_edge(link.a.name, link.b.name)
+        a, b = link.a.name, link.b.name
+        if b in self._adj[a]:
+            del self._adj[a][b]
+            self._adj[b].pop(a, None)
         self._invalidate_routes()
 
     def restore_link(self, link: Link) -> None:
         link.restore()
-        self._graph.add_edge(link.a.name, link.b.name,
-                             weight=getattr(link, "routing_weight", link.delay),
-                             link=link)
-        self._invalidate_routes()
+        self._add_edge(link)
 
     def _invalidate_routes(self) -> None:
         self._path_cache.clear()
@@ -263,16 +274,14 @@ class Network:
                 self._path_cache[key] = path
                 self._path_hops.observe(float(path.hop_count))
                 return path
-        try:
-            hop_names = nx.shortest_path(self._graph, source.name, dest.name,
-                                         weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NetworkError(
-                f"no route from {source.name} to {dest.name}"
-            ) from exc
+        hop_names = None
+        if source.name in self._adj and dest.name in self._adj:
+            hop_names = _least_weight_hops(self._adj, source.name, dest.name)
+        if hop_names is None:
+            raise NetworkError(f"no route from {source.name} to {dest.name}")
         directions = []
         for a_name, b_name in zip(hop_names, hop_names[1:]):
-            link: Link = self._graph.edges[a_name, b_name]["link"]
+            link = self._adj[a_name][b_name]
             directions.append(link.direction(self.nodes[a_name]))
         path = Path(source=source, dest=dest, directions=tuple(directions))
         self._path_cache[key] = path
@@ -357,6 +366,56 @@ class Network:
         duration = getattr(stats, "duration", None)
         if duration is not None:
             self._flow_latency.observe(duration)
+
+
+def _least_weight_hops(adj: Dict[str, Dict[str, Link]], source: str,
+                       target: str) -> Optional[List[str]]:
+    """Node names along a least-``routing_weight`` route from ``source``
+    to ``target`` (distinct nodes), or None if there is none.
+
+    A bidirectional Dijkstra, step for step the one networkx runs for a
+    weighted ``shortest_path``: the forward and backward frontiers take
+    turns, heap ties go to the earlier push, and the route passes through
+    the node that gave the best total when first seen from both sides.
+    Over the same adjacency order it returns the same route, ties
+    included.
+    """
+    settled = ({}, {})
+    seen = ({source: 0}, {target: 0})
+    preds = ({source: None}, {target: None})
+    push = count()
+    fringe = ([(0, next(push), source)], [(0, next(push), target)])
+    best = None
+    meet = source
+    side = 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, v = heappop(fringe[side])
+        if v in settled[side]:
+            continue
+        settled[side][v] = dist
+        if v in settled[1 - side]:
+            hops = []
+            node = meet
+            while node is not None:
+                hops.append(node)
+                node = preds[0][node]
+            hops.reverse()
+            node = preds[1][meet]
+            while node is not None:
+                hops.append(node)
+                node = preds[1][node]
+            return hops
+        near, far = seen[side], seen[1 - side]
+        for w, link in adj[v].items():
+            length = dist + link.routing_weight
+            if w not in settled[side] and (w not in near or length < near[w]):
+                near[w] = length
+                heappush(fringe[side], (length, next(push), w))
+                preds[side][w] = v
+                if w in far and (best is None or length + far[w] < best):
+                    best, meet = length + far[w], w
+    return None
 
 
 def compute_max_min_rates(

@@ -273,9 +273,10 @@ def hierarchical_path_provider(city: City):
     server — so every route is the unique tree walk to the lowest
     common ancestor (plus at most one core-mesh hop). Generic Dijkstra
     re-discovers that walk by visiting most of the graph; on a
-    30k-node city that is ~40-80 ms per distinct pair, which dominates
-    fleet-scale benches. This provider composes the same
-    :class:`~repro.net.network.Path` arithmetically in microseconds.
+    30k-node city that is ~50 ms per distinct pair (Python 3.11, one
+    core of a 2-core VM), which would dominate fleet-scale benches.
+    This provider composes the same :class:`~repro.net.network.Path`
+    arithmetically in microseconds.
 
     Install with ``city.network.path_provider =
     hierarchical_path_provider(city)``. Any hop over a failed link —
@@ -284,10 +285,10 @@ def hierarchical_path_provider(city: City):
     rerouting semantics.
     """
     network = city.network
-    graph = network._graph
+    adj = network._adj
 
     def link_between(a: Node, b: Node) -> Link:
-        return graph.edges[a.name, b.name]["link"]
+        return adj[a.name][b.name]
 
     # node name -> (parent node, uplink toward the parent); cores have
     # no parent. Built once; build_city topologies are static.
@@ -315,7 +316,7 @@ def hierarchical_path_provider(city: City):
             for leaf in home.all_hosts:
                 register(leaf, home.router, attach)
     for site in city.server_sites.values():
-        attach = next(network.nodes[n] for n in graph.adj[site.gateway.name]
+        attach = next(network.nodes[n] for n in adj[site.gateway.name]
                       if n in core_names)
         register(site.gateway, attach, attach)
         for server in site.servers:

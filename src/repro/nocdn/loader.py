@@ -49,8 +49,9 @@ class PageLoadResult:
     bytes_from_origin: int = 0
     corrupted: List[Tuple[str, str]] = field(default_factory=list)  # (object, peer)
     peer_failures: List[Tuple[str, str]] = field(default_factory=list)
-    # Objects of a wrapped load with a range no source delivered (every
-    # peer and the origin failed it): the page is incomplete.
+    # Objects no source delivered: in a wrapped load, a range every peer
+    # and the origin failed; in a direct or baseline load, an object
+    # whose GET failed or was not ok. The page is incomplete.
     missing: List[str] = field(default_factory=list)
     direct_mode: bool = False
     wrapper_bytes: int = 0
@@ -220,9 +221,11 @@ class PageLoader(PageFetcher):
                                 object_count=page.object_count,
                                 bytes_from_origin=container_bytes)
 
-        def account(resp) -> None:
-            if resp.ok:
+        def account(obj, resp) -> None:
+            if resp is not None and resp.ok:
                 result.bytes_from_origin += resp.body_size
+            else:
+                result.missing.append(obj.name)
 
         self._fetch_all(page.embedded,
                         lambda obj: provider.object_get(obj.name), account,

@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.hpop.core import Household, Hpop, User
 from repro.net.network import NetworkError
+from repro.net.node import Host
 from repro.net.topology import build_city
 from repro.sim.engine import Simulator
 
@@ -114,6 +115,40 @@ class TestLinkFaults:
         assert link.delay == pytest.approx(base)
         assert city.network.path_between(device, origin).rtt == \
             pytest.approx(base_rtt)
+
+    def test_latency_spike_leaves_every_route_unchanged(self):
+        # Routing weights are fixed when a link is connected: a spike
+        # changes a route's delay but not its hops, even where the
+        # spiked delay makes another route shorter in time.
+        sim = Simulator(seed=9)
+        city = build_city(sim, num_neighborhoods=2, homes_per_neighborhood=2,
+                          server_sites={"origin": 1, "edge": 1})
+        network = city.network
+        hosts = [n for n in network.nodes.values() if isinstance(n, Host)]
+        assert len(hosts) == 14
+
+        def routes():
+            return {(a.name, b.name): network.path_between(a, b).describe()
+                    for a in hosts for b in hosts if a is not b}
+
+        before = routes()
+        spiked = network.links["core-core0-core1"]
+        crossing = next(pair for pair, hops in before.items()
+                        if "core0 -> core1" in hops)
+        base_rtt = network.path_between(
+            network.nodes[crossing[0]], network.nodes[crossing[1]]).rtt
+        injector = FaultInjector(sim, network)
+        injector.apply(FaultPlan().add(
+            LatencySpike(spiked, at=1.0, duration=2.0, extra_delay=0.25)))
+        sim.run_until(1.5)
+        # The spike's own invalidate_routes has run; the detour by
+        # core2 is now 240 ms shorter, and still not taken.
+        assert network.path_between(
+            network.nodes[crossing[0]], network.nodes[crossing[1]]).rtt \
+            == pytest.approx(base_rtt + 0.5)
+        assert routes() == before
+        sim.run_until(4.0)
+        assert routes() == before
 
     def test_link_object_accepted_directly(self):
         sim, city, _hpop, injector = build()

@@ -1,7 +1,8 @@
 """Guards on the tooling itself: nothing ``Makefile`` or
 ``scripts/check.sh`` names may be missing and ``make check`` stays
 pytest only; ``src/`` grows no literal clones, no function nothing
-names and no numpy import outside the erasure kernel; report markup is
+names and no numpy import outside the erasure kernel, and imports no
+third-party package but its one declared dependency; report markup is
 written in one module; the host clock is read in four files;
 ``bench_regress.py`` gates facts by equality and ``--run`` isolates
 each bench; every method the platform benchmark patches is defined
@@ -351,6 +352,55 @@ def test_numpy_loads_for_long_shards_only():
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_CONTRACT], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert done.returncode == 0, done.stderr
+
+
+# -- the package depends on numpy alone; routing needs no graph library ------
+
+def _third_party_imports(*roots):
+    """Top-level names imported under ``roots`` that are neither the
+    stdlib's nor ``repro``."""
+    names = set()
+    for _path, tree in _trees(*roots):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"repro"}
+
+
+def test_src_imports_exactly_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(
+        (REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", dep).group(0)
+                for dep in project["dependencies"]}
+    assert _third_party_imports("src") == declared == {"numpy"}
+    assert "networkx" not in _third_party_imports(
+        "scripts", "examples", "benchmarks")
+
+
+NO_GRAPH_LIBRARY_CONTRACT = """
+import sys
+from tests.nocdn.harness import NoCdnWorld
+world = NoCdnWorld(homes=20)            # no path provider: every route
+assert world.city.network.path_provider is None   # is a path search
+assert world.load_page().bytes_from_peers > 0
+from repro.workloads.chaos import run_chaos
+run_chaos(11)
+assert "networkx" not in sys.modules, "routing loaded networkx"
+"""
+
+
+def test_routing_loads_no_graph_library():
+    # In a process of its own: the router oracle may already have
+    # imported networkx into this test run.
+    done = subprocess.run(
+        [sys.executable, "-c", NO_GRAPH_LIBRARY_CONTRACT],
+        capture_output=True, text=True, cwd=REPO,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join((str(REPO / "src"), str(REPO)))})
     assert done.returncode == 0, done.stderr
 
 

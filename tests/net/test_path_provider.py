@@ -26,7 +26,7 @@ def hops(path):
 
 
 def solver_path(network, a, b):
-    """The generic (networkx) answer, bypassing provider and cache."""
+    """The generic path search's answer, bypassing provider and cache."""
     provider, network.path_provider = network.path_provider, None
     network.invalidate_routes()
     try:

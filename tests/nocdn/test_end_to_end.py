@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cdn.baselines import BaselinePageLoader, TraditionalCdn
+from repro.http.messages import not_found
 from repro.nocdn.loader import PageLoader
 from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.records import make_record
@@ -53,6 +54,42 @@ class TestHappyPath:
         assert result.direct_mode
         assert result.bytes_from_origin >= world.catalog.page("/page0").total_size
         assert world.provider.direct_pages_served == 1
+
+    @pytest.mark.parametrize("loader", ["direct", "origin_baseline"])
+    def test_a_404_object_is_listed_missing(self, loader):
+        world = NoCdnWorld(num_peers=0)
+        page = world.catalog.page("/page0")
+        lost = page.embedded[0]
+        world.provider.server.route(
+            f"{world.provider.objects_prefix}/{lost.name}",
+            lambda request: not_found(request.path),
+            virtual_host=world.provider.site_name)
+        if loader == "direct":
+            result = world.load_page()
+        else:
+            results = []
+            BaselinePageLoader(world.client_device, world.city.network) \
+                .load_via_origin(world.provider, "/page0", results.append)
+            world.sim.run()
+            [result] = results
+        assert result.direct_mode
+        assert result.missing == [lost.name]
+        assert result.bytes_from_origin == page.total_size - lost.size
+
+    def test_direct_mode_lists_a_failed_exchange_as_missing(self):
+        world = NoCdnWorld(num_peers=0)
+        page = world.catalog.page("/page0")
+        hung = page.embedded[1]
+        # The origin never answers this object: its exchange times out.
+        world.provider.server.route_async(
+            f"{world.provider.objects_prefix}/{hung.name}",
+            lambda request, respond: None,
+            virtual_host=world.provider.site_name)
+        result = world.load_page()
+        assert result.direct_mode
+        assert result.missing == [hung.name]
+        assert result.bytes_from_origin == page.total_size - hung.size
+        assert world.loader.client.exchanges_failed == 1
 
     def test_loader_script_cached_across_loads(self):
         world = NoCdnWorld(num_peers=1)
