@@ -1,6 +1,7 @@
 """The built-in study scenarios (``chaos``, ``fleet``, ``nocdn_fleet``)
 run as cells: facts, artifacts and same-seed byte identity."""
 
+import json
 import pathlib
 import runpy
 
@@ -69,6 +70,18 @@ class TestNocdnFleetCell:
     def test_collaborative_placement_beats_naive(self, runs, strategy):
         assert runs[strategy][0][0]["origin_offload"] \
             > runs["naive"][0][0]["origin_offload"]
+
+
+@pytest.mark.parametrize("strategy", ["naive", "sharded", "replicate-hot",
+                                      "cdn"])
+def test_fleet_cell_reproduces_the_committed_sweep(tmp_path, strategy):
+    # Every fact of the 100-home cells of ``make bench-nocdn``, the cdn
+    # baseline included: the world the cell builds must not move.
+    committed = json.loads((REPO / "BENCH_nocdn.json").read_text())
+    facts = run_nocdn_fleet_cell(
+        NOCDN_SEED, {"fleet": 100, "zipf": 0.9, "strategy": strategy,
+                     "loads": 120}, tmp_path)
+    assert facts == committed["cells"][f"z0p9_f100_{strategy}"]
 
 
 class TestChaosCell:
