@@ -11,12 +11,8 @@ import os
 import random
 
 from benchmarks.common import run_experiment
-from repro.hpop.core import Household, Hpop, User
 from repro.metrics.report import ExperimentReport
-from repro.net.topology import build_city
-from repro.nocdn.loader import PageLoader
 from repro.nocdn.origin import ContentProvider
-from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.selection import (
     AffinitySelection,
     LoadAwareSelection,
@@ -24,37 +20,27 @@ from repro.nocdn.selection import (
     RandomSelection,
     SingleRandomPeer,
 )
-from repro.sim.engine import Simulator
 from repro.util.stats import mean
-from repro.workloads.web import CatalogSpec, ZipfPagePopularity, generate_catalog
+from repro.workloads.nocdn import NoCdnWorld, seeded_catalog
+from repro.workloads.web import ZipfPagePopularity
 
 NUM_PEERS = 8
 NUM_LOADS = 40
 
 
 def run_policy(policy, seed):
-    sim = Simulator(seed=seed)
+    world = NoCdnWorld(
+        seed, NUM_PEERS + 2, seeded_catalog(10, seed),
+        provider=lambda w: ContentProvider(
+            "site", w.origin, w.city.network, w.catalog, selection=policy),
+        peers=NUM_PEERS)
+    sim, catalog, peers = world.sim, world.catalog, world.peers
+    loader, provider = world.loaders[0], world.provider
     # REPRO_TRACE=<path> exports a trace of each policy's run, named per
     # policy (e.g. a1.jsonl -> a1-affinity.jsonl), for trace_report.py.
     trace_out = os.environ.get("REPRO_TRACE")
     if trace_out:
         sim.enable_tracing()
-    city = build_city(sim, homes_per_neighborhood=NUM_PEERS + 2,
-                      server_sites={"origin": 1})
-    catalog = generate_catalog(CatalogSpec(num_pages=10), random.Random(seed))
-    provider = ContentProvider("site", city.server_sites["origin"].servers[0],
-                               city.network, catalog, selection=policy)
-    peers = []
-    for i in range(NUM_PEERS):
-        home = city.neighborhoods[0].homes[i]
-        hpop = Hpop(home.hpop_host, city.network,
-                    Household(name=f"h{i}", users=[User("u", "p")]))
-        service = hpop.install(NoCdnPeerService())
-        hpop.start()
-        service.sign_up(provider)
-        peers.append(service)
-    client = city.neighborhoods[0].homes[NUM_PEERS].devices[0]
-    loader = PageLoader(client, city.network)
     pop = ZipfPagePopularity(catalog, alpha=0.9, rng=random.Random(seed + 1))
     urls = pop.draw_many(NUM_LOADS)
     results = []

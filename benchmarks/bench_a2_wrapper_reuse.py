@@ -9,18 +9,11 @@ reused wrappers cut the origin's dynamic-generation work. This ablation
 quantifies the trade.
 """
 
-import random
-
 from benchmarks.common import run_experiment
-from repro.hpop.core import Household, Hpop, User
 from repro.metrics.report import ExperimentReport
-from repro.net.topology import build_city
-from repro.nocdn.loader import PageLoader
 from repro.nocdn.origin import ContentProvider
-from repro.nocdn.peer import NoCdnPeerService
-from repro.sim.engine import Simulator
 from repro.util.stats import mean
-from repro.workloads.web import CatalogSpec, generate_catalog
+from repro.workloads.nocdn import NoCdnWorld, seeded_catalog
 
 NUM_PEERS = 4
 NUM_CLIENTS = 12
@@ -28,28 +21,17 @@ WRAPPER_THINK = 0.01  # dynamic generation cost per wrapper
 
 
 def run(reuse_ttl, seed):
-    sim = Simulator(seed=seed)
-    city = build_city(sim, homes_per_neighborhood=NUM_PEERS + NUM_CLIENTS,
-                      server_sites={"origin": 1})
-    catalog = generate_catalog(CatalogSpec(num_pages=2), random.Random(seed))
-    provider = ContentProvider(
-        "site", city.server_sites["origin"].servers[0], city.network,
-        catalog, wrapper_reuse_ttl=reuse_ttl,
-        origin_think_time=WRAPPER_THINK)
-    peers = []
-    for i in range(NUM_PEERS):
-        home = city.neighborhoods[0].homes[i]
-        hpop = Hpop(home.hpop_host, city.network,
-                    Household(name=f"h{i}", users=[User("u", "p")]))
-        service = hpop.install(NoCdnPeerService())
-        hpop.start()
-        service.sign_up(provider)
-        peers.append(service)
-    url = catalog.pages()[0].url
+    world = NoCdnWorld(
+        seed, NUM_PEERS + NUM_CLIENTS, seeded_catalog(2, seed),
+        provider=lambda w: ContentProvider(
+            "site", w.origin, w.city.network, w.catalog,
+            wrapper_reuse_ttl=reuse_ttl, origin_think_time=WRAPPER_THINK),
+        peers=NUM_PEERS, clients=NUM_CLIENTS)
+    sim, provider, peers = world.sim, world.provider, world.peers
+    url = world.catalog.pages()[0].url
     results = []
-    for i in range(NUM_CLIENTS):
-        device = city.neighborhoods[0].homes[NUM_PEERS + i].devices[0]
-        PageLoader(device, city.network).load(provider, url, results.append)
+    for loader in world.loaders:
+        loader.load(provider, url, results.append)
     sim.run()
     for peer in peers:
         peer.flush_usage()

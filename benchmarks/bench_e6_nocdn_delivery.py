@@ -11,16 +11,14 @@ import random
 
 from benchmarks.common import run_experiment
 from repro.cdn.baselines import BaselinePageLoader, TraditionalCdn
-from repro.hpop.core import Household, Hpop, User
 from repro.metrics.report import ExperimentReport
-from repro.net.topology import build_city
+from repro.net.address import Address
 from repro.nocdn.loader import PageLoader
 from repro.nocdn.origin import ContentProvider
-from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.selection import AffinitySelection
-from repro.sim.engine import Simulator
-from repro.util.stats import mean, percentile
-from repro.workloads.web import CatalogSpec, ZipfPagePopularity, generate_catalog
+from repro.util.stats import mean
+from repro.workloads.nocdn import NoCdnWorld, seeded_catalog
+from repro.workloads.web import ZipfPagePopularity
 
 NUM_PEERS = 12
 NUM_CLIENTS = 10
@@ -28,23 +26,53 @@ LOADS_PER_CLIENT = 12
 # A dynamic origin spends real time per request (DB hits, templating);
 # replica hits avoid it. This is the load the paper's offload removes.
 ORIGIN_THINK = 0.015
+FLASH_CLIENTS = 25
+ORIGIN_ACCESS_BPS = 300e6  # a modest origin: the provider NoCDN is for
 
 
-def build_world(seed):
-    sim = Simulator(seed=seed)
-    city = build_city(sim, homes_per_neighborhood=30,
-                      server_sites={"origin": 1, "edge": 1})
-    catalog = generate_catalog(CatalogSpec(num_pages=12), random.Random(seed))
-    provider = ContentProvider("news.example",
-                               city.server_sites["origin"].servers[0],
-                               city.network, catalog,
-                               origin_think_time=ORIGIN_THINK)
-    return sim, city, catalog, provider
+def small_origin(city):
+    """An origin host behind a 300 Mbps access link."""
+    host = city.network.add_host("small-origin")
+    host.add_interface(Address.parse("198.19.0.1"))
+    city.network.connect(host, city.core_routers[1], ORIGIN_ACCESS_BPS,
+                         0.01, name="origin-access")
+    return host
 
 
-def client_devices(city, count):
-    homes = city.neighborhoods[0].homes
-    return [homes[NUM_PEERS + i].devices[0] for i in range(count)]
+def build_world(scheme, seed, flash=False):
+    """One delivery scheme's world and its ``start(loader, url, cb)``.
+
+    The first NUM_PEERS homes host peers only under NoCDN, so every
+    scheme's clients load from the same homes. Affinity selection keeps
+    each object on ~2 peers: high peer cache hit rates with a still
+    randomized client-to-peer mapping. The flash world's origin is
+    :func:`small_origin`.
+    """
+    nocdn = scheme == "nocdn"
+    world = NoCdnWorld(
+        seed, 45 if flash else 30, seeded_catalog(3 if flash else 12, seed),
+        server_sites={"edge": 1} if flash else {"origin": 1, "edge": 1},
+        provider=lambda w: ContentProvider(
+            "news.example", small_origin(w.city) if flash else w.origin,
+            w.city.network, w.catalog, selection=AffinitySelection(spread=2),
+            origin_think_time=ORIGIN_THINK),
+        peers=NUM_PEERS, with_peers=nocdn,
+        clients=FLASH_CLIENTS if flash else NUM_CLIENTS,
+        loader=PageLoader if nocdn else BaselinePageLoader)
+    provider = world.provider
+    if scheme == "cdn":
+        cdn = TraditionalCdn(provider, world.city.network)
+        cdn.deploy_edge(world.city.server_sites["edge"].servers[0])
+
+    def start(loader, url, on_done):
+        if scheme == "origin":
+            loader.load_via_origin(provider, url, on_done)
+        elif scheme == "cdn":
+            loader.load_via_cdn(cdn, url, on_done)
+        else:
+            loader.load(provider, url, on_done)
+
+    return world, start
 
 
 def drive_loads(sim, load_one, urls_per_client):
@@ -66,113 +94,31 @@ def zipf_urls(catalog, seed):
     return [pop.draw_many(LOADS_PER_CLIENT) for _ in range(NUM_CLIENTS)]
 
 
-def run_origin_only():
-    sim, city, catalog, provider = build_world(seed=61)
-    loaders = [BaselinePageLoader(d, city.network)
-               for d in client_devices(city, NUM_CLIENTS)]
-    urls = zipf_urls(catalog, 610)
+def run_steady(scheme, seed):
+    """Cold-start Zipf loads; returns the results and origin bytes."""
+    world, start = build_world(scheme, seed)
     results = drive_loads(
-        sim, lambda ci, url, cb: loaders[ci].load_via_origin(provider, url, cb),
-        urls)
-    return results, provider.origin_bytes_served
-
-
-def run_cdn():
-    sim, city, catalog, provider = build_world(seed=62)
-    cdn = TraditionalCdn(provider, city.network)
-    cdn.deploy_edge(city.server_sites["edge"].servers[0])
-    loaders = [BaselinePageLoader(d, city.network)
-               for d in client_devices(city, NUM_CLIENTS)]
-    urls = zipf_urls(catalog, 620)
-    results = drive_loads(
-        sim, lambda ci, url, cb: loaders[ci].load_via_cdn(cdn, url, cb), urls)
-    return results, provider.origin_bytes_served
-
-
-def run_nocdn():
-    sim, city, catalog, provider = build_world(seed=63)
-    # Affinity selection keeps each object on ~2 peers: high peer cache
-    # hit rates with a still-randomized client-to-peer mapping.
-    provider.selection = AffinitySelection(spread=2)
-    for i in range(NUM_PEERS):
-        home = city.neighborhoods[0].homes[i]
-        hpop = Hpop(home.hpop_host, city.network,
-                    Household(name=f"h{i}", users=[User("u", "p")]))
-        service = hpop.install(NoCdnPeerService())
-        hpop.start()
-        service.sign_up(provider)
-    loaders = [PageLoader(d, city.network)
-               for d in client_devices(city, NUM_CLIENTS)]
-    urls = zipf_urls(catalog, 630)
-    results = drive_loads(
-        sim, lambda ci, url, cb: loaders[ci].load(provider, url, cb), urls)
-    return results, provider.origin_bytes_served, results
-
-
-FLASH_CLIENTS = 25
-ORIGIN_ACCESS_BPS = 300e6  # a modest origin: the provider NoCDN is for
-
-
-def build_flash_world(seed):
-    """Like build_world but the origin sits behind a 300 Mbps access link."""
-    sim = Simulator(seed=seed)
-    city = build_city(sim, homes_per_neighborhood=45,
-                      server_sites={"edge": 1})
-    gateway = city.server_sites["edge"].gateway
-    origin_host = city.network.add_host("small-origin")
-    from repro.net.address import Address
-    origin_host.add_interface(Address.parse("198.19.0.1"))
-    city.network.connect(origin_host, city.core_routers[1],
-                         ORIGIN_ACCESS_BPS, 0.01, name="origin-access")
-    catalog = generate_catalog(CatalogSpec(num_pages=3),
-                               random.Random(seed))
-    provider = ContentProvider("news.example", origin_host, city.network,
-                               catalog, origin_think_time=ORIGIN_THINK)
-    provider.selection = AffinitySelection(spread=2)
-    return sim, city, catalog, provider
+        world.sim, lambda ci, url, cb: start(world.loaders[ci], url, cb),
+        zipf_urls(world.catalog, seed * 10))
+    return results, world.provider.origin_bytes_served
 
 
 def flash_crowd_plt(scheme, seed):
     """Mean PLT when FLASH_CLIENTS hit the same page at once."""
-    sim, city, catalog, provider = build_flash_world(seed)
-    url = catalog.pages()[0].url
-    homes = city.neighborhoods[0].homes
-    if scheme == "nocdn":
-        for i in range(NUM_PEERS):
-            home = homes[i]
-            hpop = Hpop(home.hpop_host, city.network,
-                        Household(name=f"h{i}", users=[User("u", "p")]))
-            service = hpop.install(NoCdnPeerService())
-            hpop.start()
-            service.sign_up(provider)
-    cdn = None
-    if scheme == "cdn":
-        cdn = TraditionalCdn(provider, city.network)
-        cdn.deploy_edge(city.server_sites["edge"].servers[0])
-    clients = [homes[NUM_PEERS + i].devices[0] for i in range(FLASH_CLIENTS)]
-
-    def load_with(loader, cb):
-        if scheme == "origin":
-            loader.load_via_origin(provider, url, cb)
-        elif scheme == "cdn":
-            loader.load_via_cdn(cdn, url, cb)
-        else:
-            loader.load(provider, url, cb)
-
+    world, start = build_world(scheme, seed, flash=True)
+    url = world.catalog.pages()[0].url
     # Warm-up: one client primes peer/edge caches (and its loader script).
-    warm_loader = (PageLoader(clients[0], city.network) if scheme == "nocdn"
-                   else BaselinePageLoader(clients[0], city.network))
+    warm_loader = type(world.loaders[0])(world.clients[0],
+                                         world.city.network)
     warm = []
-    load_with(warm_loader, warm.append)
-    sim.run()
+    start(warm_loader, url, warm.append)
+    world.sim.run()
     assert warm, f"warm-up load failed for {scheme}"
     # Flash crowd: everyone at once.
     results = []
-    for device in clients:
-        loader = (PageLoader(device, city.network) if scheme == "nocdn"
-                  else BaselinePageLoader(device, city.network))
-        load_with(loader, results.append)
-    sim.run()
+    for loader in world.loaders:
+        start(loader, url, results.append)
+    world.sim.run()
     return mean([r.duration * 1e3 for r in results])
 
 
@@ -182,9 +128,9 @@ def experiment():
         columns=("scheme", "steady mean PLT (ms)", "flash-crowd PLT (ms)",
                  "origin bytes served (MB)", "bytes from replicas (MB)"))
 
-    origin_results, origin_bytes_o = run_origin_only()
-    cdn_results, origin_bytes_c = run_cdn()
-    nocdn_results, origin_bytes_n, _ = run_nocdn()
+    origin_results, origin_bytes_o = run_steady("origin", 61)
+    cdn_results, origin_bytes_c = run_steady("cdn", 62)
+    nocdn_results, origin_bytes_n = run_steady("nocdn", 63)
     flash = {scheme: flash_crowd_plt(scheme, seed)
              for scheme, seed in (("origin", 64), ("cdn", 65),
                                   ("nocdn", 66))}

@@ -15,42 +15,24 @@ The paper's three adversarial requirements, each driven end to end:
 import random
 
 from benchmarks.common import run_experiment
-from repro.hpop.core import Household, Hpop, User
 from repro.metrics.report import ExperimentReport
-from repro.net.topology import build_city
-from repro.nocdn.loader import PageLoader
-from repro.nocdn.origin import ContentProvider
 from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.records import make_record
-from repro.sim.engine import Simulator
-from repro.workloads.web import CatalogSpec, generate_catalog
+from repro.workloads.nocdn import NoCdnWorld, seeded_catalog
 
 
 def build_world(peer_services, seed=7):
-    sim = Simulator(seed=seed)
-    city = build_city(sim, homes_per_neighborhood=len(peer_services) + 4,
-                      server_sites={"origin": 1})
-    catalog = generate_catalog(CatalogSpec(num_pages=4),
-                               random.Random(seed))
-    provider = ContentProvider("news.example",
-                               city.server_sites["origin"].servers[0],
-                               city.network, catalog)
-    for i, service in enumerate(peer_services):
-        home = city.neighborhoods[0].homes[i]
-        hpop = Hpop(home.hpop_host, city.network,
-                    Household(name=f"h{i}", users=[User("u", "p")]))
-        hpop.install(service)
-        hpop.start()
-        service.sign_up(provider)
-    client = city.neighborhoods[0].homes[len(peer_services)].devices[0]
-    loader = PageLoader(client, city.network)
-    return sim, city, catalog, provider, loader
+    """``peer_services`` in the first homes, signed up; one client."""
+    world = NoCdnWorld(seed, len(peer_services) + 4, seeded_catalog(4, seed),
+                       peers=len(peer_services),
+                       services=lambda i: [peer_services[i]])
+    return world, world.provider
 
 
-def load(sim, loader, provider, url):
+def load(world, url):
     results = []
-    loader.load(provider, url, results.append)
-    sim.run()
+    world.loaders[0].load(world.provider, url, results.append)
+    world.sim.run()
     return results[0]
 
 
@@ -62,10 +44,10 @@ def experiment():
     # -- tampering -------------------------------------------------------
     tamperer = NoCdnPeerService(tamper=True)
     honest = NoCdnPeerService()
-    sim, city, catalog, provider, loader = build_world([tamperer, honest])
+    world, provider = build_world([tamperer, honest])
     corrupted_total, recovered_pages = 0, 0
-    for page in catalog.pages()[:3]:
-        result = load(sim, loader, provider, page.url)
+    for page in world.catalog.pages()[:3]:
+        result = load(world, page.url)
         corrupted_total += len(result.corrupted)
         complete = result.total_bytes >= page.total_size
         recovered_pages += complete
@@ -87,10 +69,10 @@ def experiment():
 
     # -- inflation --------------------------------------------------------
     cheater = NoCdnPeerService(inflate_factor=3.0)
-    sim, city, catalog, provider, loader = build_world([cheater], seed=71)
-    load(sim, loader, provider, catalog.pages()[0].url)
+    world, provider = build_world([cheater], seed=71)
+    load(world, world.catalog.pages()[0].url)
     cheater.flush_usage()
-    sim.run()
+    world.sim.run()
     audit = provider.audit
     report.add_row("record inflation", audit.rejected_bad_signature,
                    audit.rejected_bad_signature, "payment denied")
@@ -104,13 +86,13 @@ def experiment():
 
     # -- replay -------------------------------------------------------------
     replayer = NoCdnPeerService(replay_records=True)
-    sim, city, catalog, provider, loader = build_world([replayer], seed=72)
-    load(sim, loader, provider, catalog.pages()[0].url)
+    world, provider = build_world([replayer], seed=72)
+    load(world, world.catalog.pages()[0].url)
     replayer.flush_usage()
-    sim.run()
+    world.sim.run()
     accepted_first = provider.audit.accepted_records
     replayer.flush_usage()
-    sim.run()
+    world.sim.run()
     report.add_row("record replay", provider.audit.rejected_replay,
                    provider.audit.rejected_replay, "no double payment")
     report.check(
@@ -123,8 +105,8 @@ def experiment():
 
     # -- over-cap collusion claim ---------------------------------------------
     peer = NoCdnPeerService()
-    sim, city, catalog, provider, loader = build_world([peer], seed=73)
-    page = catalog.pages()[0]
+    world, provider = build_world([peer], seed=73)
+    page = world.catalog.pages()[0]
     wrapper = provider.build_wrapper(page)
     key = wrapper.peer_keys[peer.peer_id]
     bogus = make_record(wrapper.wrapper_id, peer.peer_id,
@@ -140,8 +122,8 @@ def experiment():
 
     # -- collusion volume anomaly ------------------------------------------------
     peers = [NoCdnPeerService() for _ in range(5)]
-    sim, city, catalog, provider, loader = build_world(peers, seed=74)
-    page = catalog.pages()[0]
+    world, provider = build_world(peers, seed=74)
+    page = world.catalog.pages()[0]
     colluder = peers[0].peer_id
     rng = random.Random(740)
     for _ in range(40):

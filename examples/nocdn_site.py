@@ -18,46 +18,29 @@ Run:  python examples/nocdn_site.py
 
 import random
 
-from repro.hpop.core import Household, Hpop, User
-from repro.net.topology import build_city
-from repro.nocdn.loader import PageLoader
 from repro.nocdn.origin import ContentProvider
-from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.selection import AffinitySelection
-from repro.sim.engine import Simulator
 from repro.util.units import format_bytes
-from repro.workloads.web import CatalogSpec, ZipfPagePopularity, generate_catalog
+from repro.workloads.nocdn import NoCdnWorld, seeded_catalog
+from repro.workloads.web import ZipfPagePopularity
 
 NUM_PEERS = 8
 NUM_READERS = 6
 
 
 def main() -> None:
-    sim = Simulator(seed=3)
-    city = build_city(sim, homes_per_neighborhood=NUM_PEERS + NUM_READERS,
-                      server_sites={"origin": 1})
-    catalog = generate_catalog(CatalogSpec(num_pages=6), random.Random(30))
-    provider = ContentProvider(
-        "daily.example", city.server_sites["origin"].servers[0],
-        city.network, catalog, selection=AffinitySelection(spread=2),
-        payment_per_gib=0.05)
-
     # --- 1. recruit peers -------------------------------------------------
-    peers = []
-    for i in range(NUM_PEERS):
-        home = city.neighborhoods[0].homes[i]
-        hpop = Hpop(home.hpop_host, city.network,
-                    Household(name=f"h{i}", users=[User("u", "p")]))
-        service = hpop.install(NoCdnPeerService())
-        hpop.start()
-        service.sign_up(provider)
-        peers.append(service)
+    world = NoCdnWorld(
+        3, NUM_PEERS + NUM_READERS, seeded_catalog(6, 30),
+        provider=lambda w: ContentProvider(
+            "daily.example", w.origin, w.city.network, w.catalog,
+            selection=AffinitySelection(spread=2), payment_per_gib=0.05),
+        peers=NUM_PEERS, clients=NUM_READERS)
+    sim, catalog, provider = world.sim, world.catalog, world.provider
+    peers, readers = world.peers, world.loaders
     print(f"{len(peers)} residential peers signed up with "
           f"{provider.site_name} (compensated per verified GiB)")
 
-    readers = [PageLoader(
-        city.neighborhoods[0].homes[NUM_PEERS + i].devices[0], city.network)
-        for i in range(NUM_READERS)]
     pop = ZipfPagePopularity(catalog, alpha=0.9, rng=random.Random(31))
 
     # --- 2. normal browsing ---------------------------------------------------

@@ -102,7 +102,10 @@ def _build(num_homes: int):
     """One seeded scenario instance: fleet, request load, fault plan."""
     sim = Simulator(seed=42)
     fleet = build_fleet(sim, FleetSpec(num_homes=num_homes, **SPEC_KW))
-    load = FocusRequestLoad(fleet, **LOAD_KW)
+    load = FocusRequestLoad(
+        fleet, requests=LOAD_KW["requests"], spacing=LOAD_KW["spacing"],
+        timeout=LOAD_KW["timeout"], slow_every=LOAD_KW["slow_every"],
+        slow_delay=LOAD_KW["slow_delay"], peer_every=LOAD_KW["peer_every"])
     injector = FaultInjector(sim, fleet.city.network)
     injector.apply(FaultPlan([
         LinkFlap(FLAP_LINK, at=sim.now + FLAP_AT, duration=FLAP_DURATION),

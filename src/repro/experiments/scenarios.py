@@ -211,16 +211,12 @@ def run_nocdn_fleet_cell(seed: int, params: Mapping[str, Any],
     interval; 0 = synchronous), ``cache_bytes`` (per-peer cache).
     """
     from repro.cdn.baselines import BaselinePageLoader, TraditionalCdn
-    from repro.hpop.core import Household, Hpop, User
-    from repro.net.topology import build_city, hierarchical_path_provider
-    from repro.nocdn.directory import ContentDirectory
     from repro.nocdn.loader import PageLoader
     from repro.nocdn.origin import ContentProvider
     from repro.nocdn.peer import NoCdnPeerService
-    from repro.nocdn.strategy import make_strategy
     from repro.obs.timeseries import TimeSeriesDB
-    from repro.sim.engine import Simulator
     from repro.util.units import mib
+    from repro.workloads.nocdn import NoCdnWorld
     from repro.workloads.web import (CatalogSpec, ZipfPagePopularity,
                                      generate_catalog)
 
@@ -233,63 +229,37 @@ def run_nocdn_fleet_cell(seed: int, params: Mapping[str, Any],
     gossip = float(params.get("gossip", 0.0))
     cache_bytes = int(params.get("cache_bytes", mib(64)))
 
-    sim = Simulator(seed=seed)
-    nbhds = max(1, fleet // 100)
-    city = build_city(sim, num_neighborhoods=nbhds,
-                      homes_per_neighborhood=max(2, fleet // nbhds),
-                      devices_per_home=1,
-                      server_sites={"origin": 1, "edge": 1})
-    # Tree-walk routing: the generic Dijkstra solver costs tens of ms
-    # per endpoint pair, which dominates wall time at 10k homes.
-    city.network.path_provider = hierarchical_path_provider(city)
-
-    catalog = generate_catalog(CatalogSpec(num_pages=pages),
-                               sim.rng.stream("nocdn_fleet.catalog"))
-    popularity = ZipfPagePopularity(catalog, zipf,
-                                    sim.rng.stream("nocdn_fleet.zipf"))
-    origin_host = city.server_sites["origin"].servers[0]
-
     is_cdn = strategy_name == "cdn"
-    directory = None
+    nbhds = max(1, fleet // 100)
+    # Every neighborhood's homes[0] hosts its client device; under NoCDN
+    # the rest serve as peers. The naive baseline is the paper's
+    # per-peer cache: no shared directory, so a miss fills from the
+    # origin. The collaborative strategies get the directory and its
+    # one-hop miss forwarding.
+    world = NoCdnWorld(
+        seed, max(2, fleet // nbhds),
+        lambda sim: generate_catalog(CatalogSpec(num_pages=pages),
+                                     sim.rng.stream("nocdn_fleet.catalog")),
+        neighborhoods=nbhds, devices_per_home=1,
+        server_sites={"origin": 1, "edge": 1}, tree_routing=True,
+        strategy=None if is_cdn else strategy_name,
+        directory=strategy_name != "naive", gossip_interval=gossip,
+        provider=lambda w: ContentProvider(
+            "news.example", w.origin, w.city.network, w.catalog,
+            strategy=w.strategy, directory=w.directory,
+            max_fallbacks=None if is_cdn else 3),
+        services=lambda _i: [NoCdnPeerService(cache_bytes=cache_bytes)],
+        with_peers=not is_cdn,
+        loader=BaselinePageLoader if is_cdn else PageLoader)
+    sim, city, provider = world.sim, world.city, world.provider
+    peers, loaders, directory = world.peers, world.loaders, world.directory
+    popularity = ZipfPagePopularity(world.catalog, zipf,
+                                    sim.rng.stream("nocdn_fleet.zipf"))
     if is_cdn:
-        provider = ContentProvider("news.example", origin_host,
-                                   city.network, catalog)
         cdn = TraditionalCdn(provider, city.network)
         edge = cdn.deploy_edge(city.server_sites["edge"].servers[0])
-    else:
-        # The naive baseline is the paper's per-peer cache: no shared
-        # directory, so a miss fills from the origin. The collaborative
-        # strategies get the directory and its one-hop miss forwarding.
-        if strategy_name != "naive":
-            directory = ContentDirectory(sim, gossip_interval=gossip)
-        provider = ContentProvider(
-            "news.example", origin_host, city.network, catalog,
-            strategy=make_strategy(strategy_name), directory=directory,
-            max_fallbacks=3)
-
-    peers: list = []
-    if not is_cdn:
-        for nbhd in city.neighborhoods:
-            # homes[0] hosts the neighborhood's client device; the rest
-            # serve as peers.
-            for home in nbhd.homes[1:]:
-                service = NoCdnPeerService(cache_bytes=cache_bytes)
-                tag = f"n{nbhd.index}h{home.index}"
-                hpop = Hpop(home.hpop_host, city.network,
-                            Household(name=tag, users=[User(f"u-{tag}", "pw")]))
-                hpop.install(service)
-                hpop.start()
-                service.sign_up(provider)
-                peers.append(service)
-
-    clients = [nbhd.homes[0].devices[0] for nbhd in city.neighborhoods]
     results: list = []
     errors: list = []
-    if is_cdn:
-        loaders = [BaselinePageLoader(device, city.network)
-                   for device in clients]
-    else:
-        loaders = [PageLoader(device, city.network) for device in clients]
     urls = popularity.draw_many(loads)
 
     def start_load(loader, url: str) -> None:

@@ -8,8 +8,8 @@ fetch with their own per-object target and booking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.http.client import PageFetcher
 from repro.http.content import WebPage
@@ -72,8 +72,8 @@ class HomeBrowser(PageFetcher):
 
         def account(result: PageVisitResult, resp) -> None:
             # A failed fetch is booked as a miss.
-            provenance = (resp.headers.get("X-Cache", "miss") if resp.ok
-                          else "miss")
+            provenance = (resp.headers.get("X-Cache", "miss")
+                          if resp is not None and resp.ok else "miss")
             if provenance in ("hit", "revalidated"):
                 result.cache_hits += 1
             elif provenance == "lateral":
@@ -120,17 +120,16 @@ class HomeBrowser(PageFetcher):
 
     def _visit(self, site: Website, page: WebPage, target_for, account,
                on_done) -> None:
-        """Fetch every object of ``page``; ``account`` books each
-        response's provenance, ``on_done`` gets the result."""
+        """Fetch every object of ``page``; ``account(result, response)``
+        books each object's provenance (``response`` is None when its
+        exchange failed), ``on_done`` gets the result."""
         result = PageVisitResult(site=site.name, url=page.url,
                                  started_at=self.sim.now,
                                  completed_at=self.sim.now,
                                  object_count=page.object_count)
 
         def booked(_obj, resp) -> None:
-            if resp is None:
-                return  # a failed exchange books nothing
-            if resp.ok:
+            if resp is not None and resp.ok:
                 result.bytes_total += resp.body_size
             account(result, resp)
 

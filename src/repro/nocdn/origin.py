@@ -9,7 +9,7 @@ maintains peer trust; detects anomalies; and pays peers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -113,7 +113,6 @@ class ContentProvider:
         catalog: ContentCatalog,
         selection: Optional[SelectionPolicy] = None,
         port: int = 80,
-        wrapper_think_time: float = 0.005,
         object_ttl: float = 300.0,
         key_ttl: float = 600.0,
         chunk_size: Optional[int] = None,
@@ -183,7 +182,6 @@ class ContentProvider:
         else:
             self.server = HttpServer(host, port, think_time=origin_think_time,
                                      name=f"origin:{site_name}")
-        self.wrapper_think_time = wrapper_think_time
         self._register_routes()
 
     # -- peer management -----------------------------------------------------

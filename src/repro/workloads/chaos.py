@@ -3,7 +3,9 @@
 One seeded city whose HPoPs are NoCDN peers *and* each other's attic
 backup friends, a fault plan of crashes and link flaps against it, and
 optional telemetry, tail sampling and the autonomous controller on top.
-It is the world behind the chaos acceptance tests
+The city, catalog, provider and sign-ups are a
+:class:`~repro.workloads.nocdn.NoCdnWorld` whose homes install the data
+attic and peer backup before their NoCDN peer. It is the world behind the chaos acceptance tests
 (``tests/integration/test_chaos.py``), the ``chaos`` study scenario,
 ``scripts/chaos_soak.py``, the dashboard report and benches A7/A8.
 """
@@ -11,13 +13,10 @@ It is the world behind the chaos acceptance tests
 from repro.attic.backup_service import PeerBackupService
 from repro.attic.service import DataAtticService
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
-from repro.hpop.core import Household, Hpop, User
-from repro.net.topology import build_city
 from repro.nocdn.loader import PageLoader
-from repro.nocdn.origin import ContentProvider
 from repro.nocdn.peer import NoCdnPeerService
-from repro.sim.engine import Simulator
 from repro.util.units import kib
+from repro.workloads.nocdn import NoCdnWorld
 from repro.workloads.web import make_catalog
 
 CHURN_FRACTION = 0.2
@@ -27,7 +26,7 @@ NUM_PEERS = 8
 NUM_LOADS = 40
 
 
-class ChaosWorld:
+class ChaosWorld(NoCdnWorld):
     """NoCDN peers that are also each other's attic backup friends.
 
     HPoP index 0 is the attic owner whose files must survive; every
@@ -38,48 +37,20 @@ class ChaosWorld:
     def __init__(self, seed: int, num_peers: int = NUM_PEERS,
                  strategy: str = None):
         self.num_peers = num_peers
-        self.sim = Simulator(seed=seed)
-        self.city = build_city(self.sim,
-                               homes_per_neighborhood=num_peers + 2,
-                               server_sites={"origin": 1})
-        self.catalog = make_catalog(num_pages=2)
-        origin_host = self.city.server_sites["origin"].servers[0]
+        self.backups = []
         # Collaborative caching rides along when a strategy is named;
         # the default (None) keeps the classic world — and its seeded
         # exports — byte-identical.
-        provider_kwargs = {}
-        if strategy is not None:
-            from repro.nocdn.directory import ContentDirectory
-            from repro.nocdn.strategy import make_strategy
-
-            provider_kwargs = {
-                "strategy": make_strategy(strategy),
-                "directory": ContentDirectory(self.sim),
-            }
-        self.provider = ContentProvider(
-            "news.example", origin_host, self.city.network, self.catalog,
-            **provider_kwargs)
-        self.hpops, self.backups = [], []
-        for i in range(num_peers):
-            home = self.city.neighborhoods[0].homes[i]
-            hpop = Hpop(home.hpop_host, self.city.network,
-                        Household(name=f"h{i}", users=[User("u", "p")]))
-            hpop.install(DataAtticService())
-            backup = hpop.install(PeerBackupService(
-                k=2, m=1,
-                heartbeat_interval=1.0 if i == 0 else None))
-            peer = hpop.install(NoCdnPeerService())
-            hpop.start()
-            peer.sign_up(self.provider)
-            self.hpops.append(hpop)
-            self.backups.append(backup)
+        super().__init__(
+            seed, num_peers + 2, lambda _sim: make_catalog(num_pages=2),
+            strategy=strategy, peers=num_peers, services=self._home_services,
+            loader=lambda device, network: PageLoader(device, network,
+                                                      peer_timeout=1.0))
         self.owner = self.backups[0]
         for friend in self.backups[1:]:
             self.owner.add_friend(friend)
-        self.client_device = (
-            self.city.neighborhoods[0].homes[num_peers].devices[0])
-        self.loader = PageLoader(self.client_device, self.city.network,
-                                 peer_timeout=1.0)
+        self.client_device = self.clients[0]
+        self.loader = self.loaders[0]
         self.injector = FaultInjector(self.sim, self.city.network,
                                       hpops=self.hpops)
         self.tsdb = None
@@ -90,6 +61,15 @@ class ChaosWorld:
         self.exemplar_store = None
         self.sampler = None
         self.redundancy_transitions = []
+
+    def _home_services(self, index: int):
+        """Home ``index``'s attic and peer backup, installed before its
+        NoCDN peer; the owner (home 0) heartbeats its friends."""
+        attic = DataAtticService()
+        backup = PeerBackupService(
+            k=2, m=1, heartbeat_interval=1.0 if index == 0 else None)
+        self.backups.append(backup)
+        return [attic, backup, NoCdnPeerService()]
 
     def enable_sampling(self, rate: float = 0.05, **policy):
         """Attach deterministic tail-based trace sampling.

@@ -7,7 +7,8 @@ from repro.hpop.core import Household, Hpop, User
 from repro.http.content import ContentCatalog, WebObject, WebPage
 from repro.iah.browser import HomeBrowser
 from repro.iah.deepweb import PropertyTrigger
-from repro.iah.service import CoopGroup, InternetAtHomeService
+from repro.iah.service import (UPSTREAM_TIMEOUT, CoopGroup,
+                               InternetAtHomeService)
 from repro.iah.smoothing import DemandSmoother
 from repro.iah.web import Website
 from repro.net.topology import build_city
@@ -226,6 +227,30 @@ class TestDeviceServing:
         browser.load_via_hpop(hpops[0].host, site, "/page1", lambda r: None)
         sim.run()
         assert services[0].history.count_for("news.example", "/page1") == 1
+
+    @pytest.mark.parametrize("via", ["hpop", "origin"])
+    def test_an_unanswered_object_is_booked_as_a_miss(self, via):
+        sim, city, site, _services, hpops = build(num_homes=1)
+        # The origin never answers one of /page0's four objects.
+        site.server.route_async(f"{site.objects_prefix}/p0-obj1.bin",
+                                lambda _request, _respond: None,
+                                virtual_host=site.name)
+        browser = HomeBrowser(city.neighborhoods[0].homes[0].devices[0],
+                              city.network)
+        # The browser gives up before the HPoP's upstream does, so its
+        # exchange fails on either path instead of ending in a 504.
+        browser.client.timeout = UPSTREAM_TIMEOUT / 2
+        results = []
+        if via == "hpop":
+            browser.load_via_hpop(hpops[0].host, site, "/page0",
+                                  results.append)
+        else:
+            browser.load_via_origin(site, "/page0", results.append)
+        sim.run()
+        [result] = results
+        assert (result.cache_hits, result.lateral_hits,
+                result.cache_misses) == (0, 0, result.object_count)
+        assert result.bytes_total == 15_000 + 2 * 40_000
 
 
 class TestCooperativeCache:

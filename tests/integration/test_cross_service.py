@@ -1,7 +1,5 @@
 """Integration: flows crossing multiple subsystems."""
 
-import random
-
 import pytest
 
 from repro.attic.driver import AtticDriver
@@ -15,11 +13,9 @@ from repro.nat.traversal import ReachabilityManager, ReachabilityMethod, \
     StunServer, TurnServer
 from repro.net.address import Address
 from repro.net.topology import build_city
-from repro.nocdn.loader import PageLoader
 from repro.nocdn.origin import ContentProvider
-from repro.nocdn.peer import NoCdnPeerService
 from repro.sim.engine import Simulator
-from repro.workloads.web import CatalogSpec, generate_catalog
+from repro.workloads.nocdn import NoCdnWorld, seeded_catalog
 
 
 class TestAtticThroughNat:
@@ -121,28 +117,16 @@ class TestNoCdnPeerChurn:
     """Peers die and return mid-service; readers never see broken pages."""
 
     def test_flash_crowd_with_peer_deaths(self):
-        sim = Simulator(seed=24)
-        city = build_city(sim, homes_per_neighborhood=10,
-                          server_sites={"origin": 1})
-        catalog = generate_catalog(CatalogSpec(num_pages=2),
-                                   random.Random(24))
-        provider = ContentProvider(
-            "site", city.server_sites["origin"].servers[0],
-            city.network, catalog)
-        peers, hpops = [], []
-        for i in range(4):
-            home = city.neighborhoods[0].homes[i]
-            hpop = Hpop(home.hpop_host, city.network,
-                        Household(name=f"h{i}", users=[User("u", "p")]))
-            service = hpop.install(NoCdnPeerService())
-            hpop.start()
-            service.sign_up(provider)
-            peers.append(service)
-            hpops.append(hpop)
-        url = catalog.pages()[0].url
-        page_size = catalog.pages()[0].total_size
-        loader = PageLoader(city.neighborhoods[0].homes[5].devices[0],
-                            city.network)
+        # Four peers; loaders[1:] are the clients in homes 5, 6 and 7.
+        world = NoCdnWorld(
+            24, 10, seeded_catalog(2, 24),
+            provider=lambda w: ContentProvider(
+                "site", w.origin, w.city.network, w.catalog),
+            peers=4, clients=4)
+        sim, provider, hpops = world.sim, world.provider, world.hpops
+        loader, loader2, loader3 = world.loaders[1:]
+        url = world.catalog.pages()[0].url
+        page_size = world.catalog.pages()[0].total_size
         results = []
         loader.load(provider, url, results.append)
         sim.run()
@@ -150,8 +134,6 @@ class TestNoCdnPeerChurn:
         # Two peers die; the origin does not know yet.
         hpops[0].shutdown()
         hpops[1].shutdown()
-        loader2 = PageLoader(city.neighborhoods[0].homes[6].devices[0],
-                             city.network)
         loader2.load(provider, url, results.append)
         sim.run()
         # Page still complete: dead-peer fetches failed over to the origin
@@ -161,8 +143,6 @@ class TestNoCdnPeerChurn:
         # They come back; service resumes cleanly.
         hpops[0].restart()
         hpops[1].restart()
-        loader3 = PageLoader(city.neighborhoods[0].homes[7].devices[0],
-                             city.network)
         loader3.load(provider, url, results.append)
         sim.run()
         assert results[2].total_bytes >= page_size

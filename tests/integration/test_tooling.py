@@ -161,7 +161,11 @@ CALLER_ROOTS = ("src", "scripts", "benchmarks", "examples")
 # make a knob nothing sets a constant, or delete its entry once a real
 # caller passes it. NoCdnPeerService's forward_timeout and
 # upload_interval and InternetAtHomeService's upstream_timeout were the
-# last to go.
+# last to go. The seven ContentProvider entries were there all along:
+# the scan could not see them while ChaosWorld spread ``**`` keywords
+# into the provider, and the knob it hid that nothing read,
+# wrapper_think_time, is gone. FocusRequestLoad.page_bytes was hidden
+# the same way, by a spread in scripts/bench_obs.py; nothing sets it.
 KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/attic/backup.py:ColdCloudBackup.restore_latency",
     "repro/attic/cloudmirror.py:EncryptedCloudStore.port",
@@ -185,6 +189,13 @@ KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/nat/devices.py:NatDevice.first_public_port",
     "repro/nat/traversal.py:TurnServer.first_relay_port",
     "repro/nocdn/directory.py:ContentDirectory.metrics",
+    "repro/nocdn/origin.py:ContentProvider.chunk_size",
+    "repro/nocdn/origin.py:ContentProvider.expel_threshold",
+    "repro/nocdn/origin.py:ContentProvider.key_ttl",
+    "repro/nocdn/origin.py:ContentProvider.object_ttl",
+    "repro/nocdn/origin.py:ContentProvider.payment_cap_bytes",
+    "repro/nocdn/origin.py:ContentProvider.port",
+    "repro/nocdn/origin.py:ContentProvider.trust_penalty",
     "repro/nocdn/selection.py:TrustWeightedSelection.floor",
     "repro/nocdn/strategy.py:HashRing.vnodes",
     "repro/nocdn/strategy.py:ReplicateHotStrategy.hot_k",
@@ -194,6 +205,7 @@ KNOBS_ONLY_TESTS_SET = frozenset({
     "repro/transport/tcp.py:TcpFlow.overhead_per_packet",
     "repro/transport/tcp.py:TcpFlow.start",
     "repro/workloads/diurnal.py:DiurnalCurve.hourly",
+    "repro/workloads/fleet.py:FocusRequestLoad.page_bytes",
 })
 
 
@@ -233,30 +245,15 @@ def init_knobs():
     return knobs
 
 
-def knobs_only_tests_set():
-    """``__init__`` parameters with defaults that no call in
-    ``CALLER_ROOTS`` passes.
+def _calls_into_knob_classes(knobs):
+    """``(path, call, class name, positional arguments to skip)`` for
+    every call in ``CALLER_ROOTS`` to a class of ``knobs``.
 
-    Calls are matched to classes by name. A parameter is passed when a
-    call gives it by keyword or position, when a call spreads ``*`` or
-    ``**`` into the class, or when a subclass passes it through
-    ``super().__init__`` / ``Base.__init__(self, ...)``; ``cls(...)``
-    inside a class counts as a call to it.
+    Calls are matched to classes by name. A subclass's
+    ``super().__init__`` / ``Base.__init__(self, ...)`` is a call to
+    its base, and ``cls(...)`` inside a class a call to that class.
     """
-    knobs = init_knobs()
-    passed = {}  # class name -> (most positional, keywords, spread)
-
-    def credit(name, call, skip=0):
-        if name not in knobs:
-            return
-        most, keywords, spread = passed.get(name, (0, set(), False))
-        spread = spread or any(
-            isinstance(arg, ast.Starred) for arg in call.args) or any(
-            kw.arg is None for kw in call.keywords)
-        passed[name] = (max(most, len(call.args) - skip),
-                        keywords | {kw.arg for kw in call.keywords}, spread)
-
-    for _path, tree in _trees(*CALLER_ROOTS):
+    for path, tree in _trees(*CALLER_ROOTS):
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -270,14 +267,39 @@ def knobs_only_tests_set():
                     if isinstance(func.value, ast.Call) \
                             and _callee(func.value.func) == "super":
                         for base in bases:
-                            credit(base, call)
-                    elif _callee(func.value) in bases:
-                        credit(_callee(func.value), call, skip=1)
-                elif getattr(func, "id", "") == "cls":
-                    credit(cls.name, call)
+                            if base in knobs:
+                                yield path, call, base, 0
+                    elif _callee(func.value) in knobs \
+                            and _callee(func.value) in bases:
+                        yield path, call, _callee(func.value), 1
+                elif getattr(func, "id", "") == "cls" and cls.name in knobs:
+                    yield path, call, cls.name, 0
         for call in ast.walk(tree):
-            if isinstance(call, ast.Call):
-                credit(_callee(call.func), call)
+            if isinstance(call, ast.Call) and _callee(call.func) in knobs:
+                yield path, call, _callee(call.func), 0
+
+
+def _spreads(call):
+    return any(isinstance(arg, ast.Starred) for arg in call.args) \
+        or any(kw.arg is None for kw in call.keywords)
+
+
+def knobs_only_tests_set():
+    """``__init__`` parameters with defaults that no call in
+    ``CALLER_ROOTS`` passes.
+
+    A parameter is passed when a call gives it by keyword or position,
+    or when a call spreads ``*`` or ``**`` into the class (which
+    ``test_no_call_spreads_arguments_into_a_class_with_knobs`` allows
+    in one place).
+    """
+    knobs = init_knobs()
+    passed = {}  # class name -> (most positional, keywords, spread)
+    for _path, call, name, skip in _calls_into_knob_classes(knobs):
+        most, keywords, spread = passed.get(name, (0, set(), False))
+        passed[name] = (max(most, len(call.args) - skip),
+                        keywords | {kw.arg for kw in call.keywords},
+                        spread or _spreads(call))
     unpassed = set()
     for name, params in knobs.items():
         most, keywords, spread = passed.get(name, (0, set(), False))
@@ -299,6 +321,34 @@ def test_no_new_knob_that_only_tests_set():
                 for label, _param, _position in params}
     assert KNOBS_ONLY_TESTS_SET <= existing, sorted(
         KNOBS_ONLY_TESTS_SET - existing)
+
+
+def test_no_call_spreads_arguments_into_a_class_with_knobs():
+    # The scan counts a spread as passing every knob, so a spread hides
+    # them all. The one left hides nothing: enable_tail_sampling's
+    # keywords are SamplingPolicy's own, set by name by its callers.
+    spreads = {f"{path.relative_to(REPO)} {name}"
+               for path, call, name, _skip
+               in _calls_into_knob_classes(init_knobs()) if _spreads(call)}
+    assert spreads == {"src/repro/obs/trace.py SamplingPolicy"}
+
+
+# -- one NoCDN world builder --------------------------------------------------
+
+def test_one_function_builds_a_nocdn_world():
+    # An HPoP built and signed up in one function is a NoCDN world
+    # written out by hand; repro.workloads.nocdn.NoCdnWorld builds it.
+    # benchmarks/platform/ keeps its own copy: it is frozen.
+    copies = sorted(
+        f"{path.relative_to(REPO)}:{function.name}"
+        for path, tree in _trees(*CODE_ROOTS)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and {"Hpop", "sign_up"} <= {_callee(call.func)
+                                    for call in ast.walk(function)
+                                    if isinstance(call, ast.Call)})
+    assert copies == ["benchmarks/platform/scenarios.py:__init__",
+                      "src/repro/workloads/nocdn.py:__init__"]
 
 
 # -- numpy is loaded by the first long shard, and by nothing else ------------

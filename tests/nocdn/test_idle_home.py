@@ -9,14 +9,10 @@ may only fall.
 
 import gc
 
-from repro.hpop.core import Household, Hpop, User
-from repro.net.topology import build_city
-from repro.nocdn.directory import ContentDirectory
 from repro.nocdn.origin import ContentProvider
 from repro.nocdn.peer import NoCdnPeerService
-from repro.nocdn.strategy import make_strategy
-from repro.sim.engine import Simulator
 from repro.util.units import mib
+from repro.workloads.nocdn import NoCdnWorld
 from repro.workloads.web import make_catalog
 
 # Tracked objects per idle home on the city below; it read 104 while
@@ -27,25 +23,15 @@ MAX_TRACKED_PER_IDLE_HOME = 75
 def idle_city(homes):
     """A one-neighbourhood city whose every home runs a signed-up peer
     (the platform benchmark's NoCDN fleet shape), before any load."""
-    sim = Simulator(seed=7)
-    city = build_city(sim, num_neighborhoods=1, homes_per_neighborhood=homes,
-                      devices_per_home=1, server_sites={"origin": 1})
-    provider = ContentProvider(
-        "news.example", city.server_sites["origin"].servers[0],
-        city.network, make_catalog(), strategy=make_strategy("sharded"),
-        directory=ContentDirectory(sim, gossip_interval=0.0),
-        max_fallbacks=3)
-    peers = []
-    for home in city.neighborhoods[0].homes:
-        service = NoCdnPeerService(cache_bytes=mib(64))
-        hpop = Hpop(home.hpop_host, city.network,
-                    Household(name=home.hpop_host.name,
-                              users=[User("u", "pw")]))
-        hpop.install(service)
-        hpop.start()
-        service.sign_up(provider)
-        peers.append(service)
-    return city, peers
+    world = NoCdnWorld(
+        7, homes, lambda _sim: make_catalog(), devices_per_home=1,
+        strategy="sharded",
+        provider=lambda w: ContentProvider(
+            "news.example", w.origin, w.city.network, w.catalog,
+            strategy=w.strategy, directory=w.directory, max_fallbacks=3),
+        peers=homes, clients=0,
+        services=lambda _i: [NoCdnPeerService(cache_bytes=mib(64))])
+    return world.city, world.peers
 
 
 def tracked_objects(homes):
