@@ -29,13 +29,6 @@ def build_world(peer_services, seed=7):
     return world, world.provider
 
 
-def load(world, url):
-    results = []
-    world.loaders[0].load(world.provider, url, results.append)
-    world.sim.run()
-    return results[0]
-
-
 def experiment():
     report = ExperimentReport(
         "E7", "NoCDN under attack: integrity, accounting, collusion",
@@ -47,7 +40,7 @@ def experiment():
     world, provider = build_world([tamperer, honest])
     corrupted_total, recovered_pages = 0, 0
     for page in world.catalog.pages()[:3]:
-        result = load(world, page.url)
+        result = world.load_page(page.url)
         corrupted_total += len(result.corrupted)
         complete = result.total_bytes >= page.total_size
         recovered_pages += complete
@@ -70,7 +63,7 @@ def experiment():
     # -- inflation --------------------------------------------------------
     cheater = NoCdnPeerService(inflate_factor=3.0)
     world, provider = build_world([cheater], seed=71)
-    load(world, world.catalog.pages()[0].url)
+    world.load_page(world.catalog.pages()[0].url)
     cheater.flush_usage()
     world.sim.run()
     audit = provider.audit
@@ -87,7 +80,7 @@ def experiment():
     # -- replay -------------------------------------------------------------
     replayer = NoCdnPeerService(replay_records=True)
     world, provider = build_world([replayer], seed=72)
-    load(world, world.catalog.pages()[0].url)
+    world.load_page(world.catalog.pages()[0].url)
     replayer.flush_usage()
     world.sim.run()
     accepted_first = provider.audit.accepted_records

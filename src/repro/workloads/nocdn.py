@@ -19,7 +19,7 @@ from repro.net.network import Network
 from repro.net.node import Host
 from repro.net.topology import build_city, hierarchical_path_provider
 from repro.nocdn.directory import ContentDirectory
-from repro.nocdn.loader import PageLoader
+from repro.nocdn.loader import PageLoader, PageLoadResult
 from repro.nocdn.origin import ContentProvider
 from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.strategy import make_strategy
@@ -136,3 +136,17 @@ class NoCdnWorld:
     def origin(self) -> Host:
         """The first server of the city's ``origin`` site."""
         return self.city.server_sites["origin"].servers[0]
+
+    def load_page(self, url: str = "/page0",
+                  loader: Optional[PageLoader] = None) -> PageLoadResult:
+        """Load ``url`` with ``loader`` (the first client's by default),
+        run the simulation until it is idle, and return the result; a
+        failed load raises its error."""
+        results, errors = [], []
+        (loader or self.loaders[0]).load(self.provider, url, results.append,
+                                         errors.append)
+        self.sim.run()
+        if errors:
+            raise errors[0]
+        [result] = results
+        return result

@@ -245,14 +245,32 @@ def init_knobs():
     return knobs
 
 
-def _calls_into_knob_classes(knobs):
-    """``(path, call, class name, positional arguments to skip)`` for
-    every call in ``CALLER_ROOTS`` to a class of ``knobs``.
+def knobs_only_tests_set(spreads=None):
+    """``__init__`` parameters with defaults that no call in
+    ``CALLER_ROOTS`` passes; ``spreads`` collects ``file Class`` for
+    each call that spreads ``*`` or ``**`` into a class with knobs.
 
-    Calls are matched to classes by name. A subclass's
-    ``super().__init__`` / ``Base.__init__(self, ...)`` is a call to
-    its base, and ``cls(...)`` inside a class a call to that class.
+    Calls are matched to classes by name. A parameter is passed when a
+    call gives it by keyword or position, when a call spreads ``*`` or
+    ``**`` into the class, or when a subclass passes it through
+    ``super().__init__`` / ``Base.__init__(self, ...)``; ``cls(...)``
+    inside a class counts as a call to it.
     """
+    knobs = init_knobs()
+    passed = {}  # class name -> (most positional, keywords, spread)
+
+    def credit(name, call, skip=0):
+        if name not in knobs:
+            return
+        most, keywords, spread = passed.get(name, (0, set(), False))
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                kw.arg is None for kw in call.keywords):
+            spread = True
+            if spreads is not None:
+                spreads.add(f"{path.relative_to(REPO)} {name}")
+        passed[name] = (max(most, len(call.args) - skip),
+                        keywords | {kw.arg for kw in call.keywords}, spread)
+
     for path, tree in _trees(*CALLER_ROOTS):
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
@@ -267,39 +285,14 @@ def _calls_into_knob_classes(knobs):
                     if isinstance(func.value, ast.Call) \
                             and _callee(func.value.func) == "super":
                         for base in bases:
-                            if base in knobs:
-                                yield path, call, base, 0
-                    elif _callee(func.value) in knobs \
-                            and _callee(func.value) in bases:
-                        yield path, call, _callee(func.value), 1
-                elif getattr(func, "id", "") == "cls" and cls.name in knobs:
-                    yield path, call, cls.name, 0
+                            credit(base, call)
+                    elif _callee(func.value) in bases:
+                        credit(_callee(func.value), call, skip=1)
+                elif getattr(func, "id", "") == "cls":
+                    credit(cls.name, call)
         for call in ast.walk(tree):
-            if isinstance(call, ast.Call) and _callee(call.func) in knobs:
-                yield path, call, _callee(call.func), 0
-
-
-def _spreads(call):
-    return any(isinstance(arg, ast.Starred) for arg in call.args) \
-        or any(kw.arg is None for kw in call.keywords)
-
-
-def knobs_only_tests_set():
-    """``__init__`` parameters with defaults that no call in
-    ``CALLER_ROOTS`` passes.
-
-    A parameter is passed when a call gives it by keyword or position,
-    or when a call spreads ``*`` or ``**`` into the class (which
-    ``test_no_call_spreads_arguments_into_a_class_with_knobs`` allows
-    in one place).
-    """
-    knobs = init_knobs()
-    passed = {}  # class name -> (most positional, keywords, spread)
-    for _path, call, name, skip in _calls_into_knob_classes(knobs):
-        most, keywords, spread = passed.get(name, (0, set(), False))
-        passed[name] = (max(most, len(call.args) - skip),
-                        keywords | {kw.arg for kw in call.keywords},
-                        spread or _spreads(call))
+            if isinstance(call, ast.Call):
+                credit(_callee(call.func), call)
     unpassed = set()
     for name, params in knobs.items():
         most, keywords, spread = passed.get(name, (0, set(), False))
@@ -327,9 +320,8 @@ def test_no_call_spreads_arguments_into_a_class_with_knobs():
     # The scan counts a spread as passing every knob, so a spread hides
     # them all. The one left hides nothing: enable_tail_sampling's
     # keywords are SamplingPolicy's own, set by name by its callers.
-    spreads = {f"{path.relative_to(REPO)} {name}"
-               for path, call, name, _skip
-               in _calls_into_knob_classes(init_knobs()) if _spreads(call)}
+    spreads = set()
+    knobs_only_tests_set(spreads)
     assert spreads == {"src/repro/obs/trace.py SamplingPolicy"}
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.http.content import ContentCatalog
-from repro.nocdn.loader import PageLoader
 from repro.nocdn.origin import ContentProvider
 from repro.nocdn.peer import NoCdnPeerService
 from repro.workloads import nocdn
@@ -44,12 +43,3 @@ class NoCdnWorld(nocdn.NoCdnWorld):
             peers=len(services), services=lambda i: [services[i]])
         self.client_device = self.clients[0]
         self.loader = self.loaders[0]
-
-    def load_page(self, url: str = "/page0", loader: Optional[PageLoader] = None):
-        results, errors = [], []
-        (loader or self.loader).load(self.provider, url, results.append,
-                                     errors.append)
-        self.sim.run()
-        assert not errors, f"load errors: {errors}"
-        assert len(results) == 1
-        return results[0]
