@@ -142,6 +142,24 @@ class TestChaosCell:
         assert "== Trace hotspots by event label ==" in texts[0]
         assert texts[0] == texts[1]
 
+    def test_dashboard_chaos_run_is_the_controller_cell(self, tmp_path,
+                                                       capsys):
+        """``dashboard_report.py --chaos`` runs the cell with the
+        controller on: every seeded export is the cell's, byte for
+        byte."""
+        script = REPO / "scripts" / "dashboard_report.py"
+        main = runpy.run_path(str(script))["main"]
+        board, cell = tmp_path / "board", tmp_path / "cell"
+        cell.mkdir()
+        assert main(["--chaos", "--seed", "101",
+                     "--out-dir", str(board)]) == 0
+        capsys.readouterr()
+        run_chaos_cell(101, {"controller": True}, cell)
+        for name in ("trace.jsonl", "tsdb.jsonl", "faults.jsonl",
+                     "slo.jsonl", "control.jsonl"):
+            blob = (board / name).read_bytes()
+            assert blob and blob == (cell / name).read_bytes(), name
+
 
 class TestFleetCell:
     CLASSIC = {"homes": 2000, "sim_seconds": 20.0}
