@@ -3,18 +3,19 @@
 
 Two modes:
 
-- ``--chaos``: run the fixed-seed chaos scenario under the full
-  telemetry stack (tracer + TSDB scraper + SLO monitor + event-loop
-  profiler), export every artifact into ``--out-dir``, and render the
-  dashboard from them.
-- artifact mode: point ``--trace/--tsdb/--faults/--slo/--profile`` at
-  the JSONL files an earlier run exported — or just ``--artifacts DIR``
-  at a directory holding them under the standard names (a study cell
-  directory, for instance) — and render those (any subset works;
-  missing artifacts just omit their dashboard sections).
+- ``--chaos``: run the fixed-seed chaos study cell
+  (``repro.experiments.scenarios.run_chaos_cell`` with the controller
+  on, unless ``--no-controller``) into ``--out-dir``, then render the
+  dashboard from that directory exactly as ``--artifacts`` would.
+- artifact mode: point ``--trace/--tsdb/--faults/--slo/--control/
+  --profile`` at the files an earlier run exported — or just
+  ``--artifacts DIR`` at a directory holding them under the standard
+  names of ``repro.obs.records.ARTIFACTS`` (a study cell directory,
+  for instance) — and render those (any subset works; missing
+  artifacts just omit their dashboard sections).
 
 Outputs ``dashboard.md`` and ``dashboard.html`` (self-contained, no
-external assets) plus, in ``--chaos`` mode, the raw artifacts:
+external assets) plus, in ``--chaos`` mode, the cell's artifact set:
 ``trace.jsonl``, ``tsdb.jsonl``, ``faults.jsonl``, ``slo.jsonl``,
 ``control.jsonl`` (the control plane's remediation decision log —
 omitted with ``--no-controller``), ``profile.json``, and
@@ -28,7 +29,6 @@ what study summaries embed instead of screen-scraping markdown.
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 
@@ -36,62 +36,11 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+from repro.experiments.scenarios import run_chaos_cell  # noqa: E402
 from repro.obs.dashboard import (RunArtifacts, dashboard_json,  # noqa: E402
                                  run_document)
 from repro.obs.document import to_html, to_markdown  # noqa: E402
-
-# Standard artifact filenames --artifacts discovers in a directory.
-ARTIFACT_FILES = {"trace": "trace.jsonl", "tsdb": "tsdb.jsonl",
-                  "faults": "faults.jsonl", "slo": "slo.jsonl",
-                  "control": "control.jsonl", "profile": "profile.json"}
-
-
-def run_chaos_instrumented(seed: int, out_dir: pathlib.Path,
-                           controller: bool = True) -> dict:
-    """Drive the chaos scenario with every telemetry layer attached."""
-    from repro.workloads.chaos import CHURN_FRACTION, ChaosWorld
-
-    world = ChaosWorld(seed)
-    tracer = world.sim.enable_tracing(capacity=262144)
-    profiler = world.sim.enable_profiling()
-    world.enable_telemetry()
-    if controller:
-        world.enable_controller()
-    world.seed_attic()
-    plan = world.apply_churn(CHURN_FRACTION)
-    results, errors = world.schedule_loads()
-    world.sim.run_until(world.sim.now + 150.0)
-    world.slo_monitor.finish()
-
-    paths = {
-        "trace": out_dir / "trace.jsonl",
-        "tsdb": out_dir / "tsdb.jsonl",
-        "faults": out_dir / "faults.jsonl",
-        "slo": out_dir / "slo.jsonl",
-        "profile": out_dir / "profile.json",
-    }
-    if controller:
-        paths["control"] = out_dir / "control.jsonl"
-        world.controller.export_jsonl(str(paths["control"]))
-    tracer.export_jsonl(str(paths["trace"]))
-    world.tsdb.export_jsonl(str(paths["tsdb"]))
-    world.injector.export_jsonl(str(paths["faults"]))
-    world.slo_monitor.export_jsonl(str(paths["slo"]))
-    paths["profile"].write_text(json.dumps(profiler.to_dict(), indent=2,
-                                           sort_keys=True))
-    profiler.export_collapsed(str(out_dir / "profile.collapsed"))
-
-    actions = ""
-    if controller:
-        executed = world.controller.metrics.counters[
-            "actions_executed"].value
-        actions = f"{executed:.0f} remediation actions, "
-    print(f"chaos run: seed={seed} {len(plan)} planned faults, "
-          f"{len(results)} loads ok, {len(errors)} load errors, "
-          f"{len(world.slo_monitor.events)} SLO transitions, "
-          f"{actions}"
-          f"wall/sim ratio {profiler.wall_sim_ratio:.4f}")
-    return {key: str(path) for key, path in paths.items()}
+from repro.obs.records import ARTIFACTS  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -103,8 +52,7 @@ def main(argv=None) -> int:
                         help="artifact + dashboard output directory")
     parser.add_argument("--artifacts", metavar="DIR",
                         help="directory holding artifacts under the "
-                             "standard names (trace.jsonl, tsdb.jsonl, "
-                             "faults.jsonl, slo.jsonl, profile.json)")
+                             "standard names (repro.obs.records.ARTIFACTS)")
     parser.add_argument("--no-controller", action="store_true",
                         help="with --chaos: run without the control "
                              "plane (no remediation/convergence view)")
@@ -130,25 +78,33 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.chaos:
-        produced = run_chaos_instrumented(
-            args.seed, out_dir, controller=not args.no_controller)
-        for key, value in produced.items():
-            setattr(args, key, getattr(args, key) or value)
-        title = args.title or f"chaos scenario, seed {args.seed}"
-    else:
-        if args.artifacts:
-            art_dir = pathlib.Path(args.artifacts)
-            if not art_dir.is_dir():
-                parser.error(f"--artifacts {art_dir} is not a directory")
-            for key, filename in ARTIFACT_FILES.items():
-                candidate = art_dir / filename
-                if candidate.is_file() and not getattr(args, key):
-                    setattr(args, key, str(candidate))
-        if not any((args.trace, args.tsdb, args.faults, args.slo)):
-            parser.error("give --chaos, --artifacts, or at least one "
-                         "artifact path")
-        title = args.title or (f"artifacts from {args.artifacts}"
-                               if args.artifacts else "simulation run")
+        # No artifact of an earlier run in this directory may stand in
+        # for one this run does not write (control.jsonl, say).
+        for name in ARTIFACTS.values():
+            (out_dir / name).unlink(missing_ok=True)
+        facts = run_chaos_cell(args.seed,
+                               {"controller": not args.no_controller},
+                               out_dir)
+        print(f"chaos run: seed={args.seed} "
+              + ", ".join(f"{key}={value}" for key, value in facts.items()))
+        args.artifacts = str(out_dir)
+    if args.artifacts:
+        art_dir = pathlib.Path(args.artifacts)
+        if not art_dir.is_dir():
+            parser.error(f"--artifacts {art_dir} is not a directory")
+        # An artifact option is named after its ARTIFACTS key, and an
+        # explicit path wins (profile.collapsed has no option).
+        given = vars(args)
+        for key, name in ARTIFACTS.items():
+            if key in given and not given[key] and (art_dir / name).is_file():
+                given[key] = str(art_dir / name)
+    if not any((args.trace, args.tsdb, args.faults, args.slo)):
+        parser.error("give --chaos, --artifacts, or at least one "
+                     "artifact path")
+    title = args.title or (
+        f"chaos scenario, seed {args.seed}" if args.chaos
+        else f"artifacts from {args.artifacts}" if args.artifacts
+        else "simulation run")
 
     art = RunArtifacts.load(trace_path=args.trace, tsdb_path=args.tsdb,
                             faults_path=args.faults, slo_path=args.slo,

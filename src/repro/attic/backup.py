@@ -252,7 +252,10 @@ def simulate_availability(
     if not 0 <= home_up_probability <= 1:
         raise ValueError("home_up_probability must be in [0, 1]")
     placement = strategy.place(owner_home, peers)
-    involved = {owner_home, *placement.replica_homes, *placement.shard_homes}
+    # Placement order, not set order: each home's draw must not depend
+    # on the process's string-hash seed.
+    involved = list(dict.fromkeys([owner_home, *placement.replica_homes,
+                                   *placement.shard_homes]))
     hits = 0
     for _ in range(trials):
         down = frozenset(h for h in involved

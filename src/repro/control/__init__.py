@@ -10,7 +10,6 @@ from repro.control.controller import (
     ControlRule,
     Proposal,
     Signal,
-    load_control_jsonl,
 )
 from repro.control.rules import (
     attic_migrate_rule,
@@ -28,7 +27,6 @@ __all__ = [
     "Proposal",
     "Signal",
     "ControlAgent",
-    "load_control_jsonl",
     "attic_migrate_rule",
     "attic_probe_rule",
     "attic_repair_rule",

@@ -35,11 +35,11 @@ it" column.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.counters import MetricsRegistry
+from repro.obs.records import write_jsonl
 
 
 @dataclass(frozen=True)
@@ -329,20 +329,4 @@ class Controller:
         sim-time-only values, sorted keys, fixed separators — byte-
         identical across runs from one seed.
         """
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.events:
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
-        return len(self.events)
-
-
-def load_control_jsonl(path: str) -> List[dict]:
-    """Read back an exported decision log."""
-    records: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        return write_jsonl(path, self.events)

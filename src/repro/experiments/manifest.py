@@ -21,13 +21,11 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.records import encode
+
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 STUDY_SPEC_NAME = "study.json"
-
-# Standard artifact filenames a scenario exports into its cell dir.
-ARTIFACT_NAMES = ("tsdb.jsonl", "slo.jsonl", "faults.jsonl",
-                  "trace.jsonl", "profile.json")
 
 
 @dataclass
@@ -98,8 +96,7 @@ def journal_path(study_dir: pathlib.Path) -> pathlib.Path:
 def append_journal(study_dir: pathlib.Path, record: Dict[str, Any]) -> None:
     """Append one completion record (crash-safe: write+flush per line)."""
     with open(journal_path(study_dir), "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True,
-                            separators=(",", ":")) + "\n")
+        fh.write(encode(record) + "\n")
         fh.flush()
 
 

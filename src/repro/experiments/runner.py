@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.manifest import (
-    ARTIFACT_NAMES,
     CellManifest,
     append_journal,
     completed_cells,
@@ -91,9 +90,8 @@ def _execute_cell(task: Tuple[str, int, Tuple[Tuple[str, Any], ...],
     target.mkdir(parents=True, exist_ok=True)
     # Re-running a cell must not inherit stale artifacts from a prior
     # (possibly killed) attempt.
-    for name in ARTIFACT_NAMES + ("manifest.json",):
-        stale = target / name
-        if stale.exists():
+    for stale in target.iterdir():
+        if stale.is_file():
             stale.unlink()
 
     cell = Cell(seed=seed, params=tuple(sorted(params.items())))

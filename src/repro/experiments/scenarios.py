@@ -2,11 +2,11 @@
 
 A *scenario* is a callable ``fn(seed, params, out_dir) -> dict`` that
 runs one fully instrumented simulation and exports its artifacts into
-``out_dir`` under the standard names (``tsdb.jsonl``, ``slo.jsonl``,
-``faults.jsonl``, optionally ``trace.jsonl`` / ``profile.json``). The
-returned dict must contain only **deterministic** facts about the run
-(load counts, fault counts, verdict booleans...) — it is embedded in
-the merged summary, whose bytes must not depend on scheduling.
+``out_dir`` under the standard names (:data:`repro.obs.records.
+ARTIFACTS`). The returned dict must contain only **deterministic**
+facts about the run (load counts, fault counts, verdict booleans...) —
+it is embedded in the merged summary, whose bytes must not depend on
+scheduling.
 
 Scenarios are addressed by name so a :class:`~repro.experiments.spec.
 StudySpec` stays picklable and journal-friendly:
@@ -20,9 +20,10 @@ StudySpec` stays picklable and journal-friendly:
 from __future__ import annotations
 
 import importlib
-import json
 import pathlib
 from typing import Any, Callable, Dict, Mapping
+
+from repro.obs.records import ARTIFACTS
 
 ScenarioFn = Callable[[int, Mapping[str, Any], pathlib.Path],
                       Dict[str, Any]]
@@ -30,7 +31,8 @@ ScenarioFn = Callable[[int, Mapping[str, Any], pathlib.Path],
 
 def run_chaos_cell(seed: int, params: Mapping[str, Any],
                    out_dir: pathlib.Path) -> Dict[str, Any]:
-    """The chaos soak under full telemetry, as one study cell.
+    """The chaos soak under full telemetry, as one study cell:
+    :meth:`ChaosWorld.run` and then :meth:`ChaosWorld.export`.
 
     Params: ``fraction`` (churn fraction, default the acceptance
     scenario's 0.2), ``num_peers``, ``horizon`` (extra sim seconds
@@ -45,11 +47,12 @@ def run_chaos_cell(seed: int, params: Mapping[str, Any],
     ring buffer and its bytes), ``exemplars`` (link firing SLO alerts
     to their worst in-window request trace; off by default).
     """
-    from repro.workloads.chaos import CHURN_FRACTION, ChaosWorld
+    from repro.workloads.chaos import (CHURN_FRACTION, NUM_PEERS, RUN_FOR,
+                                       ChaosWorld)
 
     fraction = float(params.get("fraction", CHURN_FRACTION))
-    num_peers = int(params.get("num_peers", 8))
-    horizon = float(params.get("horizon", 150.0))
+    num_peers = int(params.get("num_peers", NUM_PEERS))
+    horizon = float(params.get("horizon", RUN_FOR))
     with_trace = bool(params.get("trace", True))
     with_profile = bool(params.get("profile", True))
     with_controller = bool(params.get("controller", False))
@@ -58,31 +61,19 @@ def run_chaos_cell(seed: int, params: Mapping[str, Any],
     with_exemplars = bool(params.get("exemplars", False))
 
     world = ChaosWorld(seed, num_peers=num_peers, strategy=strategy)
-    tracer = world.sim.enable_tracing(capacity=262144) if with_trace else None
-    if tracer is not None and sampling is not None:
-        world.enable_sampling(rate=float(sampling))
-    profiler = world.sim.enable_profiling() if with_profile else None
+    if with_trace:
+        world.sim.enable_tracing(capacity=262144)
+        if sampling is not None:
+            world.enable_sampling(rate=float(sampling))
+    if with_profile:
+        world.sim.enable_profiling()
     world.enable_telemetry(exemplars=with_exemplars)
     if with_controller:
         world.enable_controller()
-    world.seed_attic()
-    plan = world.apply_churn(fraction)
-    results, errors = world.schedule_loads()
-    world.sim.run_until(world.sim.now + horizon)
-    world.slo_monitor.finish()
-
-    out_dir = pathlib.Path(out_dir)
-    world.tsdb.export_jsonl(str(out_dir / "tsdb.jsonl"))
-    world.slo_monitor.export_jsonl(str(out_dir / "slo.jsonl"))
-    world.injector.export_jsonl(str(out_dir / "faults.jsonl"))
-    if tracer is not None:
-        tracer.export_jsonl(str(out_dir / "trace.jsonl"))
-    if profiler is not None:
-        (out_dir / "profile.json").write_text(
-            json.dumps(profiler.to_dict(), indent=2, sort_keys=True),
-            encoding="utf-8")
-    if with_controller:
-        world.controller.export_jsonl(str(out_dir / "control.jsonl"))
+    plan, results, errors = world.run(fraction, run_for=horizon)
+    # Exporting the trace flushes the tail sampler: its stats below are
+    # final only after this.
+    world.export(out_dir)
 
     facts = {
         "loads_ok": len(results),
@@ -171,9 +162,9 @@ def run_fleet_cell(seed: int, params: Mapping[str, Any],
         load.start()
     tsdb.start()
     sim.run_until(sim_seconds)
-    tsdb.export_jsonl(str(pathlib.Path(out_dir) / "tsdb.jsonl"))
+    tsdb.export_jsonl(str(pathlib.Path(out_dir) / ARTIFACTS["tsdb"]))
     if tracer is not None:
-        tracer.export_jsonl(str(pathlib.Path(out_dir) / "trace.jsonl"))
+        tracer.export_jsonl(str(pathlib.Path(out_dir) / ARTIFACTS["trace"]))
     facts: Dict[str, Any] = {
         "homes": homes,
         "scrapes": tsdb.scrapes,
@@ -283,7 +274,7 @@ def run_nocdn_fleet_cell(seed: int, params: Mapping[str, Any],
         kind="counter")
     tsdb.start()
     sim.run()
-    tsdb.export_jsonl(str(pathlib.Path(out_dir) / "tsdb.jsonl"))
+    tsdb.export_jsonl(str(pathlib.Path(out_dir) / ARTIFACTS["tsdb"]))
 
     total_bytes = sum(r.total_bytes for r in results)
     peer_bytes = sum(r.bytes_from_peers for r in results)

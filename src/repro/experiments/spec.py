@@ -12,10 +12,11 @@ what order.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
+
+from repro.obs.records import encode
 
 _ID_SAFE = re.compile(r"[^A-Za-z0-9_.=+-]")
 
@@ -144,5 +145,4 @@ class StudySpec:
         ``workers`` is deliberately excluded: resuming on a different
         pool size is supported (and summary bytes must not change).
         """
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return encode(self.to_dict())

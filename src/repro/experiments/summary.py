@@ -35,9 +35,9 @@ from repro.experiments.merge import (
     DEFAULT_GRID_POINTS,
     merge_tsdb,
 )
+from repro.obs.records import ARTIFACTS, encode, read_jsonl
 from repro.obs.slo import correlate_alerts, load_slo_jsonl, merge_verdicts
 from repro.obs.timeseries import load_jsonl as load_tsdb
-from repro.obs.trace import iter_jsonl
 
 SUMMARY_NAME = "summary.json"
 
@@ -112,15 +112,15 @@ def build_summary(study_dir: "pathlib.Path | str",
         })
         if manifest.status != "ok":
             continue
-        slo_path = cell_path / "slo.jsonl"
+        slo_path = cell_path / ARTIFACTS["slo"]
         events: List[dict] = []
         if slo_path.is_file():
             events, verdicts = load_slo_jsonl(str(slo_path))
             verdicts_by_run[cell_id] = verdicts
-        faults_path = cell_path / "faults.jsonl"
+        faults_path = cell_path / ARTIFACTS["faults"]
         fault_events: List[dict] = []
         if faults_path.is_file():
-            fault_events = list(iter_jsonl(str(faults_path)))
+            fault_events = list(read_jsonl(str(faults_path)))
             counts: Dict[str, int] = {}
             for record in fault_events:
                 kind = record.get("event", "?")
@@ -133,7 +133,7 @@ def build_summary(study_dir: "pathlib.Path | str",
                 if row["causes"])
             alerts_out[cell_id] = {"firing": len(firing),
                                    "correlated": correlated}
-        tsdb_path = cell_path / "tsdb.jsonl"
+        tsdb_path = cell_path / ARTIFACTS["tsdb"]
         if tsdb_path.is_file():
             tsdb_by_run[cell_id] = load_tsdb(str(tsdb_path))
 
@@ -168,8 +168,7 @@ def build_summary(study_dir: "pathlib.Path | str",
 
 def summary_bytes(summary: Dict[str, Any]) -> bytes:
     """The canonical byte encoding the identity gate compares."""
-    return (json.dumps(summary, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
+    return (encode(summary) + "\n").encode("utf-8")
 
 
 def write_summary(study_dir: "pathlib.Path | str",

@@ -20,7 +20,6 @@ Every fault start and end
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterable, List, Optional
 
@@ -35,6 +34,7 @@ from repro.hpop.core import Hpop
 from repro.metrics.counters import MetricsRegistry
 from repro.net.link import Link
 from repro.net.network import Network
+from repro.obs.records import write_jsonl
 from repro.sim.engine import Simulator
 
 
@@ -222,9 +222,4 @@ class FaultInjector:
         sorted keys and fixed separators, so two runs from the same seed
         and plan produce byte-identical files.
         """
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.events:
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
-        return len(self.events)
+        return write_jsonl(path, self.events)

@@ -441,12 +441,12 @@ STRATEGIES = {
 }
 
 
-def make_strategy(name: str, **kwargs) -> CacheStrategy:
-    """Instantiate a strategy by its registry name."""
+def make_strategy(name: str) -> CacheStrategy:
+    """Instantiate a strategy by its registry name, with its defaults."""
     try:
         cls = STRATEGIES[name]
     except KeyError:
         raise KeyError(
             f"unknown strategy {name!r}; known: {', '.join(sorted(STRATEGIES))}"
         ) from None
-    return cls(**kwargs)
+    return cls()

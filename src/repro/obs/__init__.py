@@ -1,6 +1,8 @@
 """Observability: tracing, time series, SLOs, profiling, dashboards.
 
 - :mod:`repro.obs.trace` — causal spans keyed to simulated time.
+- :mod:`repro.obs.records` — the one JSON Lines encoder, writer and
+  reader every exported log uses, and the artifact file names.
 - :mod:`repro.obs.document` — the document model every report is built
   as (sections of paragraphs, warnings, tables, bullets) and its three
   renderers: ``to_markdown``, ``to_html``, ``to_text``.

@@ -26,11 +26,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.obs.document import (Bullet, Bullets, Document, Section, Table,
                                 sparkline)
 from repro.obs.profile import PROFILE_HEADING, profile_blocks
+from repro.obs.records import ARTIFACTS, read_jsonl
 from repro.obs.report import (Trace, exemplar_path, frame_line, load_trace,
                               trace_sections)
 from repro.obs.slo import correlate_alerts, load_slo_jsonl
 from repro.obs.timeseries import Series, load_jsonl as load_tsdb
-from repro.obs.trace import iter_jsonl
 
 
 @dataclass
@@ -60,11 +60,11 @@ class RunArtifacts:
         if tsdb_path:
             art.tsdb = load_tsdb(tsdb_path)
         if faults_path:
-            art.faults = list(iter_jsonl(faults_path))
+            art.faults = list(read_jsonl(faults_path))
         if slo_path:
             art.slo_events, art.slo_verdicts = load_slo_jsonl(slo_path)
         if control_path:
-            art.control = list(iter_jsonl(control_path))
+            art.control = list(read_jsonl(control_path))
         if profile_path:
             with open(profile_path, "r", encoding="utf-8") as fh:
                 art.profile = json.load(fh)
@@ -116,7 +116,7 @@ class StudyArtifacts:
         slowest = max(sorted(wall), key=lambda c: wall[c]) if wall else ""
         profile: Dict[str, Any] = {}
         if slowest:
-            profile_path = cells_root / slowest / "profile.json"
+            profile_path = cells_root / slowest / ARTIFACTS["profile"]
             if profile_path.is_file():
                 profile = json.loads(profile_path.read_text(
                     encoding="utf-8"))

@@ -14,8 +14,12 @@ While attached it also times Python's cyclic garbage collector (via
 row, not to whichever event's allocation happened to trigger it.
 
 Profiles are wall-clock measurements and therefore *not* run-to-run
-deterministic; ``profile.json`` / ``profile.collapsed`` are the only
-run artifacts outside the byte-identity contract.
+deterministic; ``profile.json`` (:meth:`LoopProfiler.to_dict`) and
+``profile.collapsed`` (:meth:`LoopProfiler.export_collapsed`) are the
+only run artifacts outside the byte-identity contract. Both belong to a
+run's standard artifact set (:data:`repro.obs.records.ARTIFACTS`):
+``ChaosWorld.export`` writes them for every profiled chaos run, the
+study cell and ``make dashboard`` included.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.document import Block, Bullet, Bullets, Section, Table, Warn
-from repro.obs.trace import iter_jsonl
+from repro.obs.records import read_jsonl
 from repro.util.stats import mean, percentile
 
 
@@ -67,7 +67,7 @@ class Trace:
 def load_trace(path: str) -> Trace:
     """Parse a JSONL trace file into a :class:`Trace`."""
     trace = Trace()
-    for raw in iter_jsonl(path):
+    for raw in read_jsonl(path):
         kind = raw.get("kind")
         if kind == "dropped":
             trace.dropped = int(raw.get("spans_dropped", 0))

@@ -21,11 +21,11 @@ burned this budget".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.counters import MetricsRegistry
+from repro.obs.records import read_jsonl, write_jsonl
 from repro.obs.timeseries import TimeSeriesDB
 
 
@@ -287,16 +287,8 @@ class SloMonitor:
 
     def export_jsonl(self, path: str) -> int:
         """Alert log + trailing verdict records, deterministically encoded."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in self.events:
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")))
-                fh.write("\n")
-            for verdict in self.verdicts():
-                fh.write(json.dumps({"kind": "verdict", **verdict},
-                                    sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-        return len(self.events) + len(self.specs)
+        return write_jsonl(path, self.events + [
+            {"kind": "verdict", **verdict} for verdict in self.verdicts()])
 
 
 # -- alert/fault correlation -------------------------------------------------
@@ -381,14 +373,9 @@ def load_slo_jsonl(path: str) -> Tuple[List[dict], List[dict]]:
     """Split an exported SLO log into (alert events, verdicts)."""
     events: List[dict] = []
     verdicts: List[dict] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            if raw.get("kind") == "verdict":
-                verdicts.append(raw)
-            else:
-                events.append(raw)
+    for raw in read_jsonl(path):
+        if raw.get("kind") == "verdict":
+            verdicts.append(raw)
+        else:
+            events.append(raw)
     return events, verdicts

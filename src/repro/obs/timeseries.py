@@ -33,11 +33,11 @@ Design notes
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.counters import MetricsRegistry
+from repro.obs.records import read_jsonl, write_jsonl
 
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.99)
 # Points kept per series before the oldest half is downsampled.
@@ -309,13 +309,8 @@ class TimeSeriesDB:
         Times and values are rounded (9 dp) and keys sorted, so runs
         from the same seed export byte-identical files.
         """
-        names = sorted(self.series)
-        with open(path, "w", encoding="utf-8") as fh:
-            for name in names:
-                fh.write(json.dumps(self.series[name].to_dict(),
-                                    sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-        return len(names)
+        return write_jsonl(path, (self.series[name].to_dict()
+                                  for name in sorted(self.series)))
 
 
 def time_grid(start: float, end: float, points: int) -> List[float]:
@@ -336,15 +331,10 @@ def time_grid(start: float, end: float, points: int) -> List[float]:
 def load_jsonl(path: str) -> Dict[str, Series]:
     """Rehydrate an exported TSDB file into query-ready series."""
     out: Dict[str, Series] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            series = Series(raw["name"], raw["kind"])
-            series.resolution = int(raw.get("resolution", 1))
-            series.points = [(float(t), float(v))
-                             for t, v in raw.get("points", [])]
-            out[series.name] = series
+    for raw in read_jsonl(path):
+        series = Series(raw["name"], raw["kind"])
+        series.resolution = int(raw.get("resolution", 1))
+        series.points = [(float(t), float(v))
+                         for t, v in raw.get("points", [])]
+        out[series.name] = series
     return out

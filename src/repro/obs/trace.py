@@ -26,9 +26,11 @@ Design notes
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional
+from itertools import chain
+from typing import Any, Dict, List, Optional
+
+from repro.obs.records import write_jsonl
 
 _UNSET = object()
 
@@ -355,37 +357,17 @@ class Tracer:
             # Decide every in-flight trace so nothing is silently
             # pending at export time (flush is deterministic).
             self.sampler.flush()
-        written = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for span in self.spans():
-                fh.write(json.dumps(span.to_dict(), sort_keys=True,
-                                    separators=(",", ":"), default=str))
-                fh.write("\n")
-                written += 1
-            if self.spans_dropped:
-                # Deterministic (sim-side count), so it is safe in the
-                # byte-identity contract of the default export. The
-                # by_kind/by_name breakdowns are sim-side too.
-                fh.write(json.dumps(
-                    {"kind": "dropped", "capacity": self.capacity,
-                     "spans_dropped": self.spans_dropped,
-                     "by_kind": dict(sorted(self.dropped_by_kind.items())),
-                     "by_name": dict(sorted(self.dropped_by_name.items()))},
-                    sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-                written += 1
-            if self.sampler is not None:
-                fh.write(json.dumps(self.sampler.stats_record(),
-                                    sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
-                written += 1
-        return written
-
-
-def iter_jsonl(path: str) -> Iterable[Dict[str, Any]]:
-    """Yield parsed records from a JSONL trace file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        tail = []
+        if self.spans_dropped:
+            # Deterministic (sim-side count), so it is safe in the
+            # byte-identity contract of the default export. The
+            # by_kind/by_name breakdowns are sim-side too.
+            tail.append(
+                {"kind": "dropped", "capacity": self.capacity,
+                 "spans_dropped": self.spans_dropped,
+                 "by_kind": dict(sorted(self.dropped_by_kind.items())),
+                 "by_name": dict(sorted(self.dropped_by_name.items()))})
+        if self.sampler is not None:
+            tail.append(self.sampler.stats_record())
+        return write_jsonl(path, chain(
+            (span.to_dict() for span in self.spans()), tail))

@@ -10,11 +10,15 @@ attic and peer backup before their NoCDN peer. It is the world behind the chaos 
 ``scripts/chaos_soak.py``, the dashboard report and benches A7/A8.
 """
 
+import json
+import pathlib
+
 from repro.attic.backup_service import PeerBackupService
 from repro.attic.service import DataAtticService
 from repro.faults import FaultInjector, FaultPlan, LinkFlap
 from repro.nocdn.loader import PageLoader
 from repro.nocdn.peer import NoCdnPeerService
+from repro.obs.records import ARTIFACTS
 from repro.util.units import kib
 from repro.workloads.nocdn import NoCdnWorld
 from repro.workloads.web import make_catalog
@@ -24,6 +28,7 @@ CHURN_START = 2.0
 CHURN_HORIZON = 20.0
 NUM_PEERS = 8
 NUM_LOADS = 40
+RUN_FOR = 150.0
 
 
 class ChaosWorld(NoCdnWorld):
@@ -263,6 +268,41 @@ class ChaosWorld(NoCdnWorld):
                 label=f"chaos.load{i}")
         return results, errors
 
+    def run(self, fraction: float = CHURN_FRACTION, flaps: int = 1,
+            horizon: float = CHURN_HORIZON, num_loads: int = NUM_LOADS,
+            spacing: float = 0.5, run_for: float = RUN_FOR):
+        """The chaos run: back up the attic, plan the churn, schedule
+        the loads, run ``run_for`` sim seconds past them and close the
+        SLO verdicts. Returns ``(plan, results, errors)``."""
+        self.seed_attic()
+        plan = self.apply_churn(fraction, flaps=flaps, horizon=horizon)
+        results, errors = self.schedule_loads(num_loads=num_loads,
+                                              spacing=spacing)
+        self.sim.run_until(self.sim.now + run_for)
+        if self.slo_monitor is not None:
+            self.slo_monitor.finish()
+        return plan, results, errors
+
+    def export(self, out_dir) -> None:
+        """Write the fault log, and the log or profile of every attached
+        layer, into ``out_dir`` under the names of :data:`ARTIFACTS`."""
+        path = {key: str(pathlib.Path(out_dir) / name)
+                for key, name in ARTIFACTS.items()}
+        self.injector.export_jsonl(path["faults"])
+        if self.tsdb is not None:
+            self.tsdb.export_jsonl(path["tsdb"])
+        if self.slo_monitor is not None:
+            self.slo_monitor.export_jsonl(path["slo"])
+        if self.controller is not None:
+            self.controller.export_jsonl(path["control"])
+        if self.sim.tracer.enabled:
+            self.sim.tracer.export_jsonl(path["trace"])
+        profiler = self.sim.profiler
+        if profiler is not None:
+            with open(path["profile"], "w", encoding="utf-8") as fh:
+                json.dump(profiler.to_dict(), fh, indent=2, sort_keys=True)
+            profiler.export_collapsed(path["collapsed"])
+
     def attic_fully_redundant(self) -> bool:
         by_name = {b.owner_name: b for b in self.backups}
         for entry in self.owner.manifest.values():
@@ -292,13 +332,8 @@ def run_chaos(seed: int, export_path=None, fraction: float = CHURN_FRACTION,
         world.enable_telemetry(exemplars=exemplars)
     if controller:
         world.enable_controller()
-    world.seed_attic()
-    plan = world.apply_churn(fraction, flaps=flaps, horizon=horizon)
-    results, errors = world.schedule_loads(num_loads=num_loads,
-                                           spacing=spacing)
-    world.sim.run_until(world.sim.now + 150.0)
-    if world.slo_monitor is not None:
-        world.slo_monitor.finish()
+    plan, results, errors = world.run(fraction, flaps=flaps, horizon=horizon,
+                                      num_loads=num_loads, spacing=spacing)
     if export_path is not None:
         world.injector.export_jsonl(str(export_path))
     return world, plan, results, errors

@@ -1,6 +1,10 @@
 """Backup strategy and offline-reconciliation tests."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +132,23 @@ class TestAvailabilityMath:
         replicated = simulate_availability(
             PeerReplication(2), "me", PEERS, 0.9, 2000, rng)
         assert replicated > base
+
+    def test_simulation_is_independent_of_the_string_hash_seed(self):
+        # Each run in a process of its own: one process has one hash
+        # seed, so a set's iteration order cannot show within it.
+        code = ("import random\n"
+                "from repro.attic.backup import ErasureCodedBackup, "
+                "simulate_availability\n"
+                "print(repr(simulate_availability(ErasureCodedBackup(k=4, "
+                "m=2), 'me', [f'home-{i}' for i in range(12)], 0.95, "
+                "20000, random.Random(5))))\n")
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        outputs = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src,
+                             "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.control import Controller, ControlRule, Proposal, load_control_jsonl
+from repro.control import Controller, ControlRule, Proposal
+from repro.obs.records import read_jsonl
 from repro.sim.engine import Simulator
 
 
@@ -242,6 +243,6 @@ class TestExport:
         a = (tmp_path / "a.jsonl").read_bytes()
         assert a == (tmp_path / "b.jsonl").read_bytes()
         assert a
-        records = load_control_jsonl(str(tmp_path / "a.jsonl"))
+        records = list(read_jsonl(str(tmp_path / "a.jsonl")))
         assert records == ctl.events
         assert {r["event"] for r in records} == {"decision", "converged"}

@@ -138,10 +138,12 @@ class TestFailures:
 
     def test_stale_artifacts_removed_before_rerun(self, tmp_path):
         run_study(toy_spec(seeds=(1,)), tmp_path, progress=None)
-        stale = cell_dir(tmp_path, "seed1") / "trace.jsonl"
-        stale.write_text("stale\n")
+        names = ("trace.jsonl", "control.jsonl")
+        for name in names:
+            (cell_dir(tmp_path, "seed1") / name).write_text("stale\n")
         drop_journal_line(tmp_path, "seed1")
         run_study(toy_spec(seeds=(1,)), tmp_path, progress=None)
-        assert not stale.exists()
         manifest = load_manifest(cell_dir(tmp_path, "seed1"))
-        assert "trace.jsonl" not in manifest.artifacts
+        for name in names:
+            assert not (cell_dir(tmp_path, "seed1") / name).exists()
+            assert name not in manifest.artifacts

@@ -111,8 +111,8 @@ class TestChaosCell:
         assert facts["sampler_pins_missed"] == 0
         assert facts["alerts_with_exemplar"] == facts["alerts_fired"] > 0
         assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["control.jsonl", "faults.jsonl", "profile.json",
-                "slo.jsonl", "trace.jsonl", "tsdb.jsonl"]
+            == ["control.jsonl", "faults.jsonl", "profile.collapsed",
+                "profile.json", "slo.jsonl", "trace.jsonl", "tsdb.jsonl"]
         assert all(p.stat().st_size for p in tmp_path.iterdir())
 
     @pytest.fixture(scope="class")

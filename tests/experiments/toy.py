@@ -8,10 +8,10 @@ without dragging in the full chaos world. Addressed from specs as
 ``tests.experiments.toy:scenario`` (the ``module:callable`` path).
 """
 
-import json
 import pathlib
 
 from repro.metrics.counters import MetricsRegistry
+from repro.obs.records import write_jsonl
 from repro.obs.slo import RatioSli, SloMonitor, SloSpec
 from repro.obs.timeseries import TimeSeriesDB
 from repro.sim.engine import Simulator
@@ -52,12 +52,10 @@ def scenario(seed, params, out_dir):
     tsdb.export_jsonl(str(out_dir / "tsdb.jsonl"))
     monitor.export_jsonl(str(out_dir / "slo.jsonl"))
     fault_rng = sim.rng.stream("toy.faults")
-    with open(out_dir / "faults.jsonl", "w", encoding="utf-8") as fh:
-        for i in range(3):
-            record = {"t": round(2.0 + 5.0 * i + fault_rng.random(), 9),
-                      "event": "toy_fault", "target": f"node{i}"}
-            fh.write(json.dumps(record, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+    write_jsonl(str(out_dir / "faults.jsonl"),
+                [{"t": round(2.0 + 5.0 * i + fault_rng.random(), 9),
+                  "event": "toy_fault", "target": f"node{i}"}
+                 for i in range(3)])
     return {"reqs": int(reqs.value), "failed": int(fails.value)}
 
 

@@ -3,7 +3,9 @@
 pytest only; ``src/`` grows no literal clones, no function nothing
 names and no numpy import outside the erasure kernel, and imports no
 third-party package but its one declared dependency; report markup is
-written in one module; the host clock is read in four files;
+written in one module, exported logs are encoded and read in one
+module, and one function runs the chaos sequence; the host clock is
+read in four files;
 ``bench_regress.py`` gates facts by equality and ``--run`` isolates
 each bench; every method the platform benchmark patches is defined
 where it looks for it."""
@@ -341,6 +343,84 @@ def test_one_function_builds_a_nocdn_world():
                                     if isinstance(call, ast.Call)})
     assert copies == ["benchmarks/platform/scenarios.py:__init__",
                       "src/repro/workloads/nocdn.py:__init__"]
+
+
+# -- one record format, one chaos run ------------------------------------------
+
+def _dotted(node):
+    """``json.loads`` for that attribute access, None for anything else."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+def _loops(tree):
+    """Every loop: ``for`` statements, comprehensions and ``map`` calls."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.ListComp, ast.SetComp,
+                             ast.GeneratorExp, ast.DictComp)):
+            yield node
+        elif isinstance(node, ast.Call) and _callee(node.func) == "map":
+            yield node
+
+
+def _parses_lines(loop):
+    """Whether ``loop`` uses ``json.loads`` on anything but a whole
+    file's text (``json.loads(path.read_text())`` reads one document)."""
+    whole_file = {id(call.func) for call in ast.walk(loop)
+                  if isinstance(call, ast.Call) and call.args
+                  and isinstance(call.args[0], ast.Call)}
+    return any(_dotted(node) == "json.loads" and id(node) not in whole_file
+               for node in ast.walk(loop))
+
+
+def jsonl_codecs():
+    """``file:function`` of each src/ function that writes canonical JSON
+    (``separators=``) or parses JSON lines in a loop."""
+    found = set()
+    for path, tree in _trees("src"):
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            label = f"{path.relative_to(REPO)}:{function.name}"
+            for call in ast.walk(function):
+                if (isinstance(call, ast.Call)
+                        and _dotted(call.func) in ("json.dumps", "json.dump")
+                        and any(k.arg == "separators"
+                                for k in call.keywords)):
+                    found.add(label)
+            if any(_parses_lines(loop) for loop in _loops(function)):
+                found.add(label)
+    return found
+
+
+def test_jsonl_is_encoded_and_read_in_one_module():
+    # repro.obs.records owns the encoding and the reader of every
+    # exported log. The journal keeps its own loop: it must skip a torn
+    # final line, which the reader must not.
+    assert jsonl_codecs() == {
+        "src/repro/obs/records.py:encode",
+        "src/repro/obs/records.py:read_jsonl",
+        "src/repro/experiments/manifest.py:load_journal",
+    }
+
+
+def test_one_function_runs_the_chaos_sequence():
+    # ChaosWorld.run is the chaos run; bench A8 lays its flap storm
+    # between the churn and the loads. benchmarks/platform/ is frozen
+    # and schedules its loads itself.
+    callers = sorted(
+        f"{path.relative_to(REPO)}:{function.name}"
+        for path, tree in _trees(*CODE_ROOTS)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "schedule_loads"
+                for call in ast.walk(function)))
+    assert callers == ["benchmarks/bench_a8_control.py:_measure",
+                       "src/repro/workloads/chaos.py:run"]
 
 
 # -- numpy is loaded by the first long shard, and by nothing else ------------

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, Tracer, iter_jsonl
+from repro.obs.records import read_jsonl
+from repro.obs.trace import NULL_SPAN, NULL_TRACER, Span, Tracer
 from repro.sim.engine import Simulator
 
 
@@ -241,7 +242,7 @@ class TestExport:
         sim.run()
         path = str(tmp_path / "t.jsonl")
         written = tracer.export_jsonl(path)
-        records = list(iter_jsonl(path))
+        records = list(read_jsonl(path))
         assert written == len(records) == len(tracer.spans())
         kinds = {r["kind"] for r in records}
         assert kinds == {"span", "event"}
@@ -266,7 +267,7 @@ class TestExport:
             tracer.export_jsonl(path)
             with pytest.raises(TypeError):
                 tracer.export_jsonl(path, include_profile=True)
-            return {r["kind"] for r in iter_jsonl(path)}
+            return {r["kind"] for r in read_jsonl(path)}
 
         assert kinds() == {"span", "event"}
         assert kinds(capacity=2) == {"event", "dropped"}
@@ -326,7 +327,7 @@ class TestSpansDropped:
         tracer.start_span("only").finish()
         path = str(tmp_path / "t.jsonl")
         tracer.export_jsonl(path)
-        assert all(r["kind"] != "dropped" for r in iter_jsonl(path))
+        assert all(r["kind"] != "dropped" for r in read_jsonl(path))
 
     def test_wrapped_trace_exports_dropped_record(self, tmp_path):
         sim, tracer = traced_sim(capacity=3)
@@ -334,7 +335,7 @@ class TestSpansDropped:
             tracer.start_span(f"s{i}").finish()
         path = str(tmp_path / "t.jsonl")
         tracer.export_jsonl(path)
-        [record] = [r for r in iter_jsonl(path) if r["kind"] == "dropped"]
+        [record] = [r for r in read_jsonl(path) if r["kind"] == "dropped"]
         assert record["spans_dropped"] == 5
         assert record["capacity"] == 3
 
