@@ -1,7 +1,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: check test bench bench-check bench-nocdn bench-obs \
+.PHONY: check test bench-check bench-nocdn bench-obs \
 	experiments chaos dashboard study bench-platform
 
 check:
@@ -24,27 +24,26 @@ study:
 	python scripts/study_run.py --scenario chaos --seeds 101-116 \
 		--out artifacts/study
 
-bench:
-	python -m pytest benchmarks/ --benchmark-only -q
-
-# Opt-in gate: regenerate every BENCH_*.json (one process per result
-# file) and compare it with benchmarks/baselines/. Every leaf must be
-# equal, except the host-time rows bench_regress.py's HOST_TIME table
-# names (erasure MB/s, observability overhead ratio), which may move
-# 15%. Those rows are wall-clock sensitive, so not in `check`.
+# Opt-in gate: regenerate every BENCH_*.json under artifacts/bench/
+# (one process per result file) and compare it with the committed copy
+# at the repo root, the baseline; no run rewrites that copy. Every leaf
+# must be equal, except the host-time rows bench_regress.py's HOST_TIME
+# table names (erasure MB/s, observability overhead ratio), which may
+# move 15%. Those rows are wall-clock sensitive, so not in `check`.
 bench-check:
 	python scripts/bench_regress.py --run
 
 # Zipf x fleet-size NoCDN offload sweep: placement strategies vs the
-# traditional-CDN edge baseline -> BENCH_nocdn.json (about 80 s; the
-# 10k-home cells dominate).
+# traditional-CDN edge baseline -> artifacts/bench/BENCH_nocdn.json
+# (about 80 s; the 10k-home cells dominate).
 bench-nocdn:
 	python scripts/bench_nocdn_fleet.py
 
 # Full-stack observability overhead at the 100k-home flagship scale:
 # lite tracing + tail sampling + rollups + TSDB + SLO monitor vs the
-# bare engine, min-of-reps -> BENCH_obs.json (gate: overhead <= 10%,
-# byte-identical exports, every error/fault trace retained).
+# bare engine, min-of-reps -> artifacts/bench/BENCH_obs.json (gate:
+# overhead <= 10%, byte-identical exports, every error/fault trace
+# retained).
 bench-obs:
 	python scripts/bench_obs.py
 

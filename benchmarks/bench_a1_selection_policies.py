@@ -10,7 +10,6 @@ load balance across peers.
 import os
 import random
 
-from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 from repro.nocdn.origin import ContentProvider
 from repro.nocdn.selection import (
@@ -104,7 +103,3 @@ def experiment():
         "collusion-resistance. AffinitySelection(spread=2) is the "
         "library default compromise.")
     return report
-
-
-def test_a1_selection_policies(benchmark):
-    run_experiment(benchmark, experiment)

@@ -9,7 +9,6 @@ reused wrappers cut the origin's dynamic-generation work. This ablation
 quantifies the trade.
 """
 
-from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 from repro.nocdn.origin import ContentProvider
 from repro.util.stats import mean
@@ -79,7 +78,3 @@ def experiment():
         "the TTL (weaker collusion mitigation) — the paper's 'depending "
         "on billing models' caveat.")
     return report
-
-
-def test_a2_wrapper_reuse(benchmark):
-    run_experiment(benchmark, experiment)

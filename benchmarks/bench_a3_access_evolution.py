@@ -8,7 +8,6 @@ profile (25/5 Mbps) and over symmetric gigabit fiber, quantifying why
 the upload direction is the killer.
 """
 
-from benchmarks.common import run_experiment
 from repro.attic.service import DataAtticService
 from repro.hpop.core import Household, Hpop, User
 from repro.http.client import HttpClient
@@ -89,7 +88,3 @@ def experiment():
         "the home rides the 5 Mbps uplink — exactly the constraint the "
         "paper says FTTH removes.")
     return report
-
-
-def test_a3_access_evolution(benchmark):
-    run_experiment(benchmark, experiment)

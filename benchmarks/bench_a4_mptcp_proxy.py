@@ -9,7 +9,6 @@ We compare: native MPTCP server vs MPTCP proxy vs no detours at all,
 and measure the proxy's added cost (its local leg).
 """
 
-from benchmarks.common import run_experiment
 from repro.dcol.collective import DetourCollective, WaypointService
 from repro.dcol.manager import DetourManager
 from repro.dcol.proxy import MptcpProxy
@@ -90,7 +89,3 @@ def experiment():
         "scales with that leg, which is why the IETF design wants proxies "
         "'in the server's vicinity'.")
     return report
-
-
-def test_a4_mptcp_proxy(benchmark):
-    run_experiment(benchmark, experiment)

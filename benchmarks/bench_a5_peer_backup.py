@@ -6,7 +6,6 @@ sweeps the Reed-Solomon geometry: backup traffic, storage at friends,
 restore time, and tolerance to dead friends.
 """
 
-from benchmarks.common import run_experiment
 from repro.attic.backup_service import PeerBackupService
 from repro.attic.service import DataAtticService
 from repro.hpop.core import Household, Hpop, User
@@ -100,7 +99,3 @@ def experiment():
         f"{outcomes[(3, 2, 2)][3]:.2f} s",
         outcomes[(3, 2, 2)][3] < 5.0)
     return report
-
-
-def test_a5_peer_backup(benchmark):
-    run_experiment(benchmark, experiment)

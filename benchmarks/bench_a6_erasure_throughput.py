@@ -6,15 +6,13 @@ throughput bounds restore/repair latency. This bench measures MB/s on
 1 MiB payloads across RS geometries, compares against the seed's
 per-byte encode loop (the pre-rewrite implementation, reproduced here
 as the baseline), reports the decode-matrix cache hit rate, and writes
-``BENCH_erasure.json`` at the repo root so the perf trajectory is
-recorded run over run.
+a fresh ``BENCH_erasure.json`` under ``artifacts/bench/`` for
+``scripts/bench_regress.py`` to compare with the committed one.
 """
 
-import json
-import pathlib
 import time
 
-from benchmarks.common import run_experiment
+from repro.experiments.benchrun import write_bench_file
 from repro.metrics.report import ExperimentReport
 from repro.util.erasure import ReedSolomonCodec, build_generator_matrix, gf_mul
 from repro.util.units import mib
@@ -24,7 +22,6 @@ GEOMETRIES = ((4, 2), (6, 3), (10, 4))
 BASELINE_GEOMETRY = (10, 4)
 DECODE_REPEATS = 8   # per codec: one cache miss, seven hits (0.875)
 TIMED_CALLS = 5      # of which the last five are timed
-BENCH_JSON = pathlib.Path(__file__).resolve().parents[1] / "BENCH_erasure.json"
 
 
 def _baseline_encode_per_byte(payload: bytes, k: int, m: int) -> float:
@@ -113,7 +110,7 @@ def experiment():
                   for k, m in GEOMETRIES),
         all(rows[g][0] >= 25.0 for g in GEOMETRIES))
 
-    BENCH_JSON.write_text(json.dumps({
+    path = write_bench_file("BENCH_erasure.json", {
         "experiment": "A6",
         "payload_bytes": PAYLOAD_SIZE,
         "geometries": {
@@ -125,10 +122,6 @@ def experiment():
         },
         "baseline_per_byte_encode_mb_per_s": round(baseline_mbs, 3),
         "encode_speedup_vs_seed": round(speedup, 1),
-    }, indent=2) + "\n")
-    report.note(f"wrote {BENCH_JSON.name}")
+    })
+    report.note(f"wrote {path.name}")
     return report
-
-
-def test_a6_erasure_throughput(benchmark):
-    run_experiment(benchmark, experiment)

@@ -6,20 +6,12 @@ measures what the user actually feels: page-load p99 and the attic's
 time-to-repair. The paper's dependability story (SIV) is that
 home-resident services degrade, not fail — so every load must still
 complete at 20% churn, the latency penalty must stay bounded, and the
-attic must finish its repairs. Writes ``BENCH_faults.json``.
+attic must finish its repairs. Writes a fresh ``BENCH_faults.json``
+under ``artifacts/bench/``.
 """
 
-import json
-import pathlib
-import sys
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-if str(REPO_ROOT) not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT))
-
-from benchmarks.common import run_experiment
+from repro.experiments.benchrun import write_bench_file
 from repro.metrics.report import ExperimentReport
-
 from repro.workloads.chaos import NUM_LOADS, run_chaos
 
 SEED = 101
@@ -27,7 +19,6 @@ CHURN_LEVELS = (0.0, 0.05, 0.20)
 # A fleet large enough that 5% and 20% sample different crash counts
 # (the chaos test's 8-peer world rounds both levels to one crash).
 NUM_PEERS = 21
-BENCH_JSON = REPO_ROOT / "BENCH_faults.json"
 
 
 def _quantile(samples, q):
@@ -102,7 +93,7 @@ def experiment():
         f"{storm['planned_faults']} faults, {storm['repairs']} repairs",
         storm["planned_faults"] > 0 and storm["repairs"] > 0)
 
-    BENCH_JSON.write_text(json.dumps({
+    path = write_bench_file("BENCH_faults.json", {
         "experiment": "A7",
         "seed": SEED,
         "loads_per_run": NUM_LOADS,
@@ -112,10 +103,6 @@ def experiment():
                 for key, value in rows[fraction].items()
             } for fraction in CHURN_LEVELS
         },
-    }, indent=2) + "\n")
-    report.note(f"wrote {BENCH_JSON.name}")
+    })
+    report.note(f"wrote {path.name}")
     return report
-
-
-def test_a7_fault_injection(benchmark):
-    run_experiment(benchmark, experiment)

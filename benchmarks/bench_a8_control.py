@@ -7,20 +7,12 @@ page-load p99 (quarantining a partitioned peer stops *repeat* failover
 penalties) and injection-to-repair time (death probes plus pulled-
 forward repair sweeps shorten the attic's redundancy outages). Both
 runs carry the full telemetry stack so the alert streams are
-comparable; only the controller differs. Writes ``BENCH_control.json``.
+comparable; only the controller differs. Writes a fresh
+``BENCH_control.json`` under ``artifacts/bench/``.
 """
 
-import json
-import pathlib
-import sys
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-if str(REPO_ROOT) not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT))
-
-from benchmarks.common import run_experiment
+from repro.experiments.benchrun import write_bench_file
 from repro.metrics.report import ExperimentReport
-
 from repro.faults.plan import FaultPlan, LinkFlap, NodeCrash
 from repro.workloads.chaos import ChaosWorld
 
@@ -43,7 +35,6 @@ FLAP_DURATION = 4.0
 # and time out identically in both modes).
 HOLDER_CRASH_AT = 60.0
 HOLDER_DOWNTIME = 12.0
-BENCH_JSON = REPO_ROOT / "BENCH_control.json"
 
 
 def _quantile(samples, q):
@@ -176,7 +167,7 @@ def experiment():
         f"{on['actions_executed']} actions, {on['messages_sent']} messages",
         on["actions_executed"] > 0 and on["messages_sent"] > 0)
 
-    BENCH_JSON.write_text(json.dumps({
+    path = write_bench_file("BENCH_control.json", {
         "experiment": "A8",
         "seed": SEED,
         "loads_per_run": NUM_LOADS,
@@ -190,10 +181,6 @@ def experiment():
         },
         "p99_speedup": round(p99_speedup, 4),
         "repair_speedup": round(repair_speedup, 4),
-    }, indent=2) + "\n")
-    report.note(f"wrote {BENCH_JSON.name}")
+    })
+    report.note(f"wrote {path.name}")
     return report
-
-
-def test_a8_control(benchmark):
-    run_experiment(benchmark, experiment)

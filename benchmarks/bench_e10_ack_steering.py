@@ -10,7 +10,6 @@ Claims reproduced:
   withdraw at several points and verify byte-exact completion.
 """
 
-from benchmarks.common import run_experiment
 from repro.dcol.collective import DetourCollective, WaypointService
 from repro.dcol.manager import DetourManager
 from repro.hpop.core import Household, Hpop, User
@@ -95,7 +94,3 @@ def experiment():
         all(completed and frac >= 0.9999
             for _t, completed, frac in recoveries))
     return report
-
-
-def test_e10_ack_steering(benchmark):
-    run_experiment(benchmark, experiment)

@@ -14,7 +14,6 @@ Claims reproduced:
 
 import random
 
-from benchmarks.common import run_experiment
 from repro.hpop.core import Household, Hpop, User
 from repro.iah.browser import HomeBrowser
 from repro.iah.service import InternetAtHomeService
@@ -148,7 +147,3 @@ def experiment():
         "freshness costs header bytes, not content bytes — the asymmetry "
         "that makes aggressive local copies affordable.")
     return report
-
-
-def test_e11_internet_at_home(benchmark):
-    run_experiment(benchmark, experiment)

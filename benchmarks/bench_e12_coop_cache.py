@@ -15,7 +15,6 @@ Claims reproduced:
 
 import random
 
-from benchmarks.common import run_experiment
 from repro.hpop.core import Household, Hpop, User
 from repro.iah.service import CoopGroup, InternetAtHomeService
 from repro.iah.smoothing import DemandSmoother
@@ -151,7 +150,3 @@ def experiment():
         f"{up_smoothed / 1e6:.2f} vs {up_unsmoothed / 1e6:.2f} MB",
         abs(up_smoothed - up_unsmoothed) < 0.1 * max(up_unsmoothed, 1))
     return report
-
-
-def test_e12_coop_cache(benchmark):
-    run_experiment(benchmark, experiment)

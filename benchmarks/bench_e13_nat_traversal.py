@@ -7,7 +7,6 @@ configuration, run the ladder, and quantify the relay's performance
 penalty (the "limited functionality").
 """
 
-from benchmarks.common import run_experiment
 from repro.hpop.core import HPOP_PORT, Household, Hpop, User
 from repro.http.client import HttpClient
 from repro.http.messages import HttpRequest, ok
@@ -131,7 +130,3 @@ def experiment():
         and outcomes["CGN (symmetric)"][0].setup_time
         > outcomes["CGN (port-restricted)"][0].setup_time)
     return report
-
-
-def test_e13_nat_traversal(benchmark):
-    run_experiment(benchmark, experiment)

@@ -10,7 +10,6 @@ and compute the same per-second-rate exceedance fractions.
 
 import random
 
-from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 from repro.util.stats import Cdf
 from repro.util.units import gbps, hours, mbps
@@ -71,7 +70,3 @@ def experiment():
         "Workload side of the CCZ study reproduced with synthetic "
         "households (25 homes x 6 h); the real study measured ~100 homes.")
     return report
-
-
-def test_e1_ccz_utilization(benchmark):
-    run_experiment(benchmark, experiment)

@@ -7,7 +7,6 @@ achieve these speeds." We measure the slow-start trajectory directly
 and sweep transfer sizes to show the achieved-goodput cliff.
 """
 
-from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 from repro.net.topology import build_dumbbell
 from repro.sim.engine import Simulator
@@ -83,7 +82,3 @@ def experiment():
     report.note(f"path RTT {path.rtt * 1e3:.1f} ms, BDP "
                 f"{gbps(1) * path.rtt / 8 / 1e6:.2f} MB, IW10 slow start.")
     return report
-
-
-def test_e2_tcp_rampup(benchmark):
-    run_experiment(benchmark, experiment)

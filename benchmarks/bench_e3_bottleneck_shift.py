@@ -13,7 +13,6 @@ Claims reproduced:
   keep gigabit goodput even while the uplink is saturated.
 """
 
-from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 from repro.net.topology import build_city
 from repro.sim.engine import Simulator
@@ -105,7 +104,3 @@ def experiment():
         "home-to-home transfer keeps >= 700 Mbps while 40 homes download",
         f"{lateral / 1e6:.0f} Mbps", lateral > 0.7 * gbps(1))
     return report
-
-
-def test_e3_bottleneck_shift(benchmark):
-    run_experiment(benchmark, experiment)

@@ -17,7 +17,6 @@ Also exercised: WebDAV lock mediation keeps concurrent app instances
 off each other's writes (the "single source for a file" property).
 """
 
-from benchmarks.common import run_experiment
 from repro.attic.driver import AtticDriver
 from repro.attic.service import DataAtticService
 from repro.hpop.core import Household, Hpop, User
@@ -149,7 +148,3 @@ def experiment():
         f"opened={len(opened)}, blocked={len(blocked)}",
         len(opened) == 1 and len(blocked) == 1)
     return report
-
-
-def test_e4_data_attic(benchmark):
-    run_experiment(benchmark, experiment)

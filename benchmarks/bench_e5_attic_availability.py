@@ -9,7 +9,6 @@ show the storage-vs-availability tradeoff the paper implies.
 
 import random
 
-from benchmarks.common import run_experiment
 from repro.attic.backup import (
     ColdCloudBackup,
     ErasureCodedBackup,
@@ -94,7 +93,3 @@ def experiment():
             ColdCloudBackup().place("me", PEERS),
             FailureState(down_homes=frozenset({"me"}))))
     return report
-
-
-def test_e5_attic_availability(benchmark):
-    run_experiment(benchmark, experiment)

@@ -9,7 +9,6 @@ page-load times and origin byte load.
 
 import random
 
-from benchmarks.common import run_experiment
 from repro.cdn.baselines import BaselinePageLoader, TraditionalCdn
 from repro.metrics.report import ExperimentReport
 from repro.net.address import Address
@@ -184,7 +183,3 @@ def experiment():
         "latency (NoCDN still pays the wrapper round trip) — NoCDN's case "
         "is offload and surge absorption, as the paper argues.")
     return report
-
-
-def test_e6_nocdn_delivery(benchmark):
-    run_experiment(benchmark, experiment)

@@ -14,7 +14,6 @@ The paper's three adversarial requirements, each driven end to end:
 
 import random
 
-from benchmarks.common import run_experiment
 from repro.metrics.report import ExperimentReport
 from repro.nocdn.peer import NoCdnPeerService
 from repro.nocdn.records import make_record
@@ -148,7 +147,3 @@ def experiment():
         "colluder flagged by the >5x-median anomaly detector",
         f"flagged={flagged}", colluder in flagged)
     return report
-
-
-def test_e7_nocdn_integrity(benchmark):
-    run_experiment(benchmark, experiment)

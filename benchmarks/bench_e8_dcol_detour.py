@@ -7,7 +7,6 @@ from a single waypoint; multiple subflows additionally aggregate
 bandwidth.
 """
 
-from benchmarks.common import run_experiment
 from repro.dcol.collective import DetourCollective, WaypointService
 from repro.dcol.manager import DetourManager
 from repro.hpop.core import Household, Hpop, User
@@ -116,7 +115,3 @@ def experiment():
         "Waypoint legs: ~18-26 ms, clean (waypoint 2 lossy), 1 Gbps — "
         "the triangle-inequality violations the detour literature measures.")
     return report
-
-
-def test_e8_dcol_detour(benchmark):
-    run_experiment(benchmark, experiment)

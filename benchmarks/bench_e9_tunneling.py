@@ -13,7 +13,6 @@ Claims reproduced:
   simultaneously" — checked against the allocator arithmetic.
 """
 
-from benchmarks.common import run_experiment
 from repro.dcol.collective import DetourCollective, WaypointService
 from repro.dcol.manager import DetourManager
 from repro.dcol.tunnels import (
@@ -138,7 +137,3 @@ def experiment():
         f"{collective.capacity} waypoints x 64",
         collective.capacity == 262_144)
     return report
-
-
-def test_e9_tunneling(benchmark):
-    run_experiment(benchmark, experiment)

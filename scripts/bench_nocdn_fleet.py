@@ -3,11 +3,12 @@
 
 Sweeps collaborative-caching strategies over page popularity skew
 (Zipf alpha 0.6 / 0.9 / 1.2) and fleet size (100 / 1k / 10k homes),
-against the traditional-CDN edge baseline, and writes
-``BENCH_nocdn.json`` at the repo root for the ``make bench-check``
-regression gate. Every value in the file is a fact of the seeded
-workload, so the gate compares it whole, by equality; what a 10k-home
-cell costs in host time is the platform benchmark's ``nocdn_fleet_10k``.
+against the traditional-CDN edge baseline, and writes a fresh
+``BENCH_nocdn.json`` under ``artifacts/bench/`` for the ``make
+bench-check`` regression gate. Every value in the file is a fact of the
+seeded workload, so the gate compares it whole, by equality, with the
+committed root copy; what a 10k-home cell costs in host time is the
+platform benchmark's ``nocdn_fleet_10k``.
 
 Each cell replays the same seeded workload through
 ``run_nocdn_fleet_cell`` and records origin offload (fraction of
@@ -19,21 +20,17 @@ determinism probe runs the cheapest cell twice and requires identical
 facts and byte-identical tsdb exports.
 """
 
-import json
-import os
 import pathlib
 import shutil
 import sys
 import tempfile
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
+from repro.experiments.benchrun import write_bench_file  # noqa: E402
 from repro.experiments.scenarios import run_nocdn_fleet_cell  # noqa: E402
-
-OUT_PATH = REPO_ROOT / "BENCH_nocdn.json"
 
 SEED = 7
 ZIPFS = (0.6, 0.9, 1.2)
@@ -113,10 +110,7 @@ def experiment() -> dict:
         "determinism": determinism,
         "offload_gate": not violations,
     }
-    with open(OUT_PATH, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.relpath(OUT_PATH)}")
+    print(f"wrote {write_bench_file('BENCH_nocdn.json', doc)}")
     assert not violations, "offload gate failed:\n" + "\n".join(violations)
     return doc
 

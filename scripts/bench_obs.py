@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Observability overhead benchmark -> BENCH_obs.json (``make bench-obs``).
 
+Writes a fresh ``BENCH_obs.json`` under ``artifacts/bench/``; the
+committed root copy is the baseline ``make bench-check`` compares it with.
+
 Answers the governing question of the fleet observability stack: what
 does *full* observability — lite tracing with tail-based sampling,
 per-home metric columns folded into cohort rollups, a TSDB scraping
@@ -33,7 +36,6 @@ byte-for-byte across reps (same seed -> same bytes).
 
 import gc
 import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -41,6 +43,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.experiments.benchrun import write_bench_file  # noqa: E402
 from repro.faults import FaultInjector, FaultPlan, LinkFlap  # noqa: E402
 from repro.obs.sampling import ExemplarStore  # noqa: E402
 from repro.obs.slo import BurnRule, RatioSli, SloMonitor, SloSpec  # noqa: E402
@@ -52,15 +55,13 @@ from repro.workloads.fleet import (  # noqa: E402
     build_fleet,
 )
 
-OUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
-
 # The collection stack's cost is near-constant in fleet size (the
 # sampler sees the focus-load traces, the TSDB appends O(focus +
 # cohorts + k) rows per scrape), while bare-engine work scales with
 # homes — so the <=10% overhead budget is a fleet-scale claim, gated
 # at the paper's flagship 100k-home scale.
 FLEETS = (100_000,)
-REPS = int(os.environ.get("REPRO_BENCH_OBS_REPS", "5"))
+REPS = 5
 SIM_SECONDS = 40.0
 OVERHEAD_BUDGET = 1.10
 
@@ -280,10 +281,7 @@ def experiment() -> dict:
               f"({cell['cpu_ratio']:.3f}x cpu), "
               f"{cell['traces_kept']}/{cell['traces_seen']} traces kept, "
               f"{cell['scrape_rows_last']} rows/scrape", flush=True)
-    with open(OUT_PATH, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {os.path.abspath(OUT_PATH)}")
+    print(f"wrote {write_bench_file('BENCH_obs.json', doc)}")
     return doc
 
 

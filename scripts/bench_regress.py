@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark regression gate (``make bench-check``, opt-in).
 
-Compares the ``BENCH_*.json`` files at the repo root against the
-committed baselines in ``benchmarks/baselines/`` and exits 1 on any
-difference that counts. The rule: **every leaf of a baseline must equal
-the fresh value** — the simulator is deterministic, so a moved fact is
+Compares the fresh ``BENCH_*.json`` files a bench run wrote under
+``artifacts/bench/`` against the committed ones at the repo root (the
+baselines; no run rewrites them) and exits 1 on any difference that
+counts. The rule: **every leaf of a baseline must equal the fresh
+value** — the simulator is deterministic, so a moved fact is
 a changed behaviour, not noise — **unless the ``HOST_TIME`` table below
 names its path**. Those leaves are readings of the host's clock:
 ``higher`` / ``lower`` rows may be worse than the baseline by at most
@@ -15,9 +16,9 @@ are machine-dependent the gate is opt-in rather than part of ``make
 check``.
 
 ``--run`` regenerates the fresh files first, each bench experiment in
-a process of its own; without it, whatever was last written at the
-repo root is compared. A missing fresh file is reported and skipped
-(the gate only judges benches that actually ran).
+a process of its own; without it, whatever was last written under
+``artifacts/bench/`` is compared. A missing fresh file is reported and
+skipped (the gate only judges benches that actually ran).
 """
 
 import argparse
@@ -27,12 +28,14 @@ import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
-    if entry not in sys.path:
-        sys.path.insert(0, entry)
+SRC = str(REPO_ROOT / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
 
-BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
-FRESH_DIR = REPO_ROOT
+from repro.experiments.benchrun import BENCH_DIR  # noqa: E402
+
+BASELINE_DIR = REPO_ROOT
+FRESH_DIR = BENCH_DIR
 
 # The only leaves not compared by equality: file -> {dotted path, ``*``
 # matching any one key -> "higher" | "lower" (better direction, gated
@@ -55,12 +58,11 @@ HOST_TIME = {
     },
 }
 
-# Values are dotted module names, or ``scripts/*.py`` paths loaded by
-# file (the scripts directory is not a package).
+# The file whose ``experiment()`` writes each ledger, from the repo root.
 BENCH_MODULES = {
-    "BENCH_erasure.json": "benchmarks.bench_a6_erasure_throughput",
-    "BENCH_faults.json": "benchmarks.bench_a7_fault_injection",
-    "BENCH_control.json": "benchmarks.bench_a8_control",
+    "BENCH_erasure.json": "benchmarks/bench_a6_erasure_throughput.py",
+    "BENCH_faults.json": "benchmarks/bench_a7_fault_injection.py",
+    "BENCH_control.json": "benchmarks/bench_a8_control.py",
     "BENCH_nocdn.json": "scripts/bench_nocdn_fleet.py",
     "BENCH_obs.json": "scripts/bench_obs.py",
 }
@@ -89,7 +91,7 @@ def compare_file(name, threshold):
     """Returns (failures, leaves compared, skipped_reason_or_None)."""
     fresh_path = FRESH_DIR / name
     if not fresh_path.exists():
-        return [], 0, (f"no fresh {name} at the repo root "
+        return [], 0, (f"no fresh {name} under artifacts/bench "
                        f"(run its bench or pass --run)")
     baseline = json.loads((BASELINE_DIR / name).read_text())
     fresh = dict(leaves(json.loads(fresh_path.read_text())))
@@ -118,11 +120,8 @@ def compare_file(name, threshold):
 
 
 def load_bench(target):
-    """Import a ``BENCH_MODULES`` value: a module name or a ``.py`` path."""
-    import importlib
+    """Import a ``BENCH_MODULES`` value, a ``.py`` path."""
     import importlib.util
-    if not target.endswith(".py"):
-        return importlib.import_module(target)
     path = REPO_ROOT / target
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
@@ -138,7 +137,7 @@ _RUN_ONE = ("import sys; sys.path.insert(0, {scripts!r}); "
 
 
 def run_fresh(names):
-    """Regenerate the root BENCH files, one fresh process per file.
+    """Regenerate the fresh BENCH files, one fresh process per file.
 
     A process of its own keeps one bench's heap and warmed caches out
     of the next one's host-time readings.
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
         total_failures.extend(failures)
         verdict = "FAIL" if failures else "ok"
         print(f"{verdict:>4} {name}: {checks} leaves vs "
-              f"benchmarks/baselines/{name}"
+              f"the committed {name}"
               + (f", {len(failures)} differ" if failures else ""))
 
     for failure in total_failures:

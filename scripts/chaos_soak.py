@@ -39,12 +39,12 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
+from repro.experiments.spec import parse_seeds  # noqa: E402
 from repro.workloads.chaos import (  # noqa: E402
     CHURN_FRACTION,
     NUM_LOADS,
     run_chaos,
 )
-from study_run import parse_seeds  # noqa: E402
 
 
 def soak(seed: int, fraction: float, controller: bool = False,

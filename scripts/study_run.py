@@ -26,7 +26,7 @@ the cell contract.
 import argparse
 import pathlib
 import sys
-from typing import Any, List
+from typing import Any
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
@@ -39,28 +39,9 @@ from repro.experiments import (  # noqa: E402
     run_study,
     write_summary,
 )
+from repro.experiments.spec import parse_seeds  # noqa: E402
 from repro.obs.dashboard import StudyArtifacts, study_document  # noqa: E402
 from repro.obs.document import to_html, to_markdown  # noqa: E402
-
-
-def parse_seeds(text: str) -> List[int]:
-    """``101,102`` and/or inclusive ranges ``101-116``."""
-    seeds: List[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "-" in part.lstrip("-"):
-            lo_text, _, hi_text = part.partition("-")
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"bad seed range {part!r}")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
-        raise ValueError(f"no seeds in {text!r}")
-    return seeds
 
 
 def parse_value(text: str) -> Any:

@@ -2,11 +2,10 @@
 
 Two layers live here:
 
-- :mod:`repro.experiments.benchrun` — the original standalone bench
-  runner (``python -m repro.experiments e1 e6``): discovers the
-  ``experiment()`` functions in ``benchmarks/`` and runs a selection
-  without pytest. Its public names are re-exported below, so existing
-  imports (``from repro.experiments import discover``) keep working.
+- :mod:`repro.experiments.benchrun` — the experiment driver
+  (``python -m repro.experiments e1 e6``): discovers the
+  ``experiment()`` functions in ``benchmarks/`` and runs a selection.
+  Its public names are re-exported below.
 - the **study runner** — :class:`~repro.experiments.spec.StudySpec`
   describes a scenario fanned across a seed list and/or parameter
   grid; :func:`~repro.experiments.runner.run_study` executes the cells
@@ -41,7 +40,7 @@ from repro.experiments.summary import (  # noqa: F401
 )
 
 __all__ = [
-    # legacy bench runner
+    # the experiment driver
     "discover", "find_benchmarks_dir", "load_experiment", "main", "run",
     # study runner
     "Cell", "StudySpec", "StudyResult", "run_study",

@@ -1,4 +1,4 @@
-"""``python -m repro.experiments`` — the standalone bench runner."""
+"""``python -m repro.experiments`` — the experiment driver."""
 
 import sys
 

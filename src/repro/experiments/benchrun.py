@@ -1,27 +1,48 @@
-"""Standalone experiment runner: ``python -m repro.experiments e1 e6``.
+"""The experiment driver: ``python -m repro.experiments e1 e6``.
 
-The benchmarks under ``benchmarks/`` are pytest-benchmark tests, but
-each exposes a pure ``experiment()`` function returning an
+Each ``benchmarks/bench_<id>_*.py`` file reproduces one paper
+experiment (E1–E13) or ablation (A1–A8) and exposes a pure
+``experiment()`` returning an
 :class:`~repro.metrics.report.ExperimentReport`. This module discovers
-those files and runs them directly — no pytest required — printing each
-report and exiting non-zero if any paper-shape claim fails.
+those files, runs a selection, prints each report and exits non-zero
+if any paper-shape claim fails.
 
 Usage::
 
     python -m repro.experiments              # list available experiments
     python -m repro.experiments e1 e13       # run a selection
     python -m repro.experiments all          # run everything
+
+A bench that records a ledger (A6–A8, and ``scripts/bench_nocdn_fleet.py``
+and ``scripts/bench_obs.py``) writes it with :func:`write_bench_file`,
+under ``artifacts/bench/``; the committed ``BENCH_*.json`` at the repo
+root is the baseline ``scripts/bench_regress.py`` compares it with, and
+no run rewrites it.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 import re
 import sys
 from typing import Callable, Dict, List, Optional
 
 _BENCH_PATTERN = re.compile(r"bench_([a-z]\d+)_(.+)\.py$")
+# src/repro/experiments/benchrun.py -> the repository root.
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
+BENCH_DIR = REPO_ROOT / "artifacts" / "bench"
+
+
+def write_bench_file(name: str, doc: dict) -> pathlib.Path:
+    """Write a fresh ``BENCH_*.json`` under :data:`BENCH_DIR`; returns
+    its path. The one writer and the one encoding of every ledger."""
+    BENCH_DIR.mkdir(parents=True, exist_ok=True)
+    path = BENCH_DIR / name
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 def find_benchmarks_dir(start: Optional[pathlib.Path] = None) -> pathlib.Path:
@@ -31,10 +52,8 @@ def find_benchmarks_dir(start: Optional[pathlib.Path] = None) -> pathlib.Path:
         bench_dir = candidate / "benchmarks"
         if bench_dir.is_dir() and any(bench_dir.glob("bench_*.py")):
             return bench_dir
-    # Fall back to the repository layout relative to this file
-    # (src/repro/experiments/benchrun.py -> repo root / benchmarks).
-    repo_root = pathlib.Path(__file__).resolve().parents[3]
-    bench_dir = repo_root / "benchmarks"
+    # Fall back to the repository layout relative to this file.
+    bench_dir = REPO_ROOT / "benchmarks"
     if bench_dir.is_dir():
         return bench_dir
     raise FileNotFoundError("could not locate a benchmarks/ directory")
@@ -53,13 +72,7 @@ def discover(bench_dir: Optional[pathlib.Path] = None) -> Dict[str, pathlib.Path
 
 def load_experiment(path: pathlib.Path) -> Callable:
     """Import a bench module and return its ``experiment`` function."""
-    # The bench modules import ``benchmarks.common``; make the package
-    # importable the same way pytest does (repo root on sys.path).
-    repo_root = str(path.resolve().parents[1])
-    if repo_root not in sys.path:
-        sys.path.insert(0, repo_root)
-    spec = importlib.util.spec_from_file_location(
-        f"benchmarks.{path.stem}", path)
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     experiment = getattr(module, "experiment", None)
@@ -83,16 +96,17 @@ def run(ids: List[str], bench_dir: Optional[pathlib.Path] = None) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}; "
               f"available: {', '.join(available)}")
         return 2
-    failures = 0
+    failures = checks = 0
     for exp_id in selected:
         experiment = load_experiment(available[exp_id])
         report = experiment()
         report.print()
+        checks += len(report.claims)
         if not report.all_claims_hold:
             failures += 1
             print(f"!! {exp_id}: {len(report.failed_claims())} claim(s) FAILED")
     print(f"\n{len(selected)} experiment(s) run, "
-          f"{len(selected) - failures} fully passing")
+          f"{len(selected) - failures} fully passing, {checks} claim checks")
     return 1 if failures else 0
 
 

@@ -26,6 +26,26 @@ def _slug(value: Any) -> str:
     return _ID_SAFE.sub("-", str(value))
 
 
+def parse_seeds(text: str) -> List[int]:
+    """``101,102`` and/or inclusive ranges ``101-116``."""
+    seeds: List[int] = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "-" in part.lstrip("-"):
+            lo_text, _, hi_text = part.partition("-")
+            lo, hi = int(lo_text), int(hi_text)
+            if hi < lo:
+                raise ValueError(f"bad seed range {part!r}")
+            seeds.extend(range(lo, hi + 1))
+        else:
+            seeds.append(int(part))
+    if not seeds:
+        raise ValueError(f"no seeds in {text!r}")
+    return seeds
+
+
 @dataclass(frozen=True)
 class Cell:
     """One run of the study: a seed plus one point of the param grid."""
@@ -94,7 +114,8 @@ class StudySpec:
               params: Mapping[str, Any] = (),
               grid: Mapping[str, Sequence[Any]] = (),
               workers: int = 0, name: str = "") -> "StudySpec":
-        """Convenience constructor from plain dicts/lists."""
+        """Convenience constructor from plain dicts/lists (``seeds`` as
+        :func:`parse_seeds` reads a ``--seeds`` argument)."""
         return cls(
             scenario=scenario,
             seeds=tuple(int(s) for s in seeds),

@@ -1,14 +1,19 @@
 """Experiment reporting: paper-claim vs. measured-value tables.
 
-Every benchmark builds an :class:`ExperimentReport`; the bench prints it
-and asserts :meth:`all_claims_hold`, so "the shape holds" is enforced,
-not eyeballed.
+Every bench builds an :class:`ExperimentReport`; ``python -m
+repro.experiments`` prints it and exits non-zero unless
+:attr:`all_claims_hold`, so "the shape holds" is enforced, not
+eyeballed. A report is a producer over :mod:`repro.obs.document`:
+:meth:`ExperimentReport.section` builds it as data and
+:meth:`ExperimentReport.render` is that section's ``to_text``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
+
+from repro.obs.document import Block, Document, Section, Table, to_text
 
 
 @dataclass
@@ -40,7 +45,7 @@ class ExperimentReport:
 
     def check(self, description: str, expected: str, measured: str,
               holds: bool) -> None:
-        """Record a claim check (the bench asserts on the aggregate)."""
+        """Record a claim check (the runner fails on the aggregate)."""
         self.claims.append(Claim(description=description, expected=expected,
                                  measured=measured, holds=bool(holds)))
 
@@ -56,32 +61,25 @@ class ExperimentReport:
 
     # -- rendering -----------------------------------------------------------
 
-    def render(self) -> str:
-        lines = [f"== {self.experiment_id}: {self.title} =="]
+    def section(self) -> Section:
+        """``<id>: <title>`` over the rows, a PASS/FAIL table of the
+        claims and the notes as paragraphs."""
+        blocks: List[Block] = []
         if self.columns and self.rows:
-            widths = [
-                max(len(str(col)),
-                    *(len(_fmt(row[i])) for row in self.rows))
-                for i, col in enumerate(self.columns)
-            ]
-            header = "  ".join(str(c).ljust(w)
-                               for c, w in zip(self.columns, widths))
-            lines.append(header)
-            lines.append("-" * len(header))
-            for row in self.rows:
-                lines.append("  ".join(_fmt(v).ljust(w)
-                                       for v, w in zip(row, widths)))
+            blocks.append(Table(
+                headers=[str(column) for column in self.columns],
+                rows=[[_fmt(value) for value in row] for row in self.rows]))
         if self.claims:
-            lines.append("")
-            lines.append("claims:")
-            for claim in self.claims:
-                mark = "PASS" if claim.holds else "FAIL"
-                lines.append(f"  [{mark}] {claim.description}")
-                lines.append(f"         paper:    {claim.expected}")
-                lines.append(f"         measured: {claim.measured}")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
+            blocks.append(Table(
+                headers=["result", "claim", "paper", "measured"],
+                rows=[["PASS" if claim.holds else "FAIL", claim.description,
+                       claim.expected, claim.measured]
+                      for claim in self.claims]))
+        blocks.extend(self.notes)
+        return Section(f"{self.experiment_id}: {self.title}", blocks)
+
+    def render(self) -> str:
+        return to_text(Document(sections=[self.section()]))
 
     def print(self) -> None:
         print()

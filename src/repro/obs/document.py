@@ -12,8 +12,9 @@ from, or differ between, the renderings.
 
 Producers: :func:`repro.obs.dashboard.run_document`,
 :func:`repro.obs.dashboard.study_document`,
-:func:`repro.obs.report.trace_sections` and
-:func:`repro.obs.profile.profile_blocks`.
+:func:`repro.obs.report.trace_sections`,
+:func:`repro.obs.profile.profile_blocks` and
+:meth:`repro.metrics.report.ExperimentReport.section`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,31 @@
-"""StudySpec expansion: cells, ids, validation, fingerprints."""
+"""StudySpec expansion: cells, ids, validation, fingerprints, and the
+``--seeds`` syntax it is built from."""
 
 import pytest
 
 from repro.experiments import Cell, StudySpec
+from repro.experiments.spec import parse_seeds
+
+
+class TestParseSeeds:
+    def test_list(self):
+        assert parse_seeds("101,102, 7") == [101, 102, 7]
+
+    def test_inclusive_range(self):
+        assert parse_seeds("101-104") == [101, 102, 103, 104]
+        assert parse_seeds("5-5") == [5]
+
+    def test_list_and_ranges_mixed(self):
+        assert parse_seeds("1,3-5,9") == [1, 3, 4, 5, 9]
+
+    @pytest.mark.parametrize("text", ["5-3", "", " , "])
+    def test_rejects_a_reversed_range_or_no_seeds(self, text):
+        with pytest.raises(ValueError):
+            parse_seeds(text)
+
+    def test_feeds_a_spec(self):
+        spec = StudySpec.build("fleet", seeds=parse_seeds("1-2,4"))
+        assert [cell.seed for cell in spec.cells()] == [1, 2, 4]
 
 
 class TestCellIds:

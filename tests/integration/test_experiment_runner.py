@@ -50,5 +50,5 @@ class TestExecution:
         code = run(["e2"], bench_dir=REPO_ROOT / "benchmarks")
         out = capsys.readouterr().out
         assert code == 0
-        assert "E2" in out
-        assert "1 fully passing" in out
+        assert "== E2: " in out
+        assert "1 experiment(s) run, 1 fully passing, 4 claim checks" in out

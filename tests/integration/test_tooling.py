@@ -5,10 +5,11 @@ names and no numpy import outside the erasure kernel, and imports no
 third-party package but its one declared dependency; report markup is
 written in one module, exported logs are encoded and read in one
 module, and one function runs the chaos sequence; the host clock is
-read in four files;
-``bench_regress.py`` gates facts by equality and ``--run`` isolates
-each bench; every method the platform benchmark patches is defined
-where it looks for it."""
+read in four files; ``python -m repro.experiments`` is the one driver
+of the benches and one function writes every ``BENCH_*.json``;
+``bench_regress.py`` gates facts by equality against the committed
+copies and ``--run`` isolates each bench; every method the platform
+benchmark patches is defined where it looks for it."""
 
 import ast
 import functools
@@ -637,12 +638,70 @@ MARKUP_LITERALS = ("<h2>", "<table>", "## ", "|---", ".ljust(")
 
 def test_report_markup_is_written_only_in_the_document_module():
     # A producer that lays out its own heading or table is a renderer
-    # the every-block-in-every-rendering property cannot see.
-    obs = REPO / "src" / "repro" / "obs"
-    found = {(path.name, literal) for path in obs.glob("*.py")
-             for literal in MARKUP_LITERALS
+    # the every-block-in-every-rendering property cannot see (ROADMAP
+    # item 7(a)). The erasure codec pads shards with bytes.ljust.
+    src = REPO / "src"
+    found = {(str(path.relative_to(src)), literal)
+             for path in src.rglob("*.py") for literal in MARKUP_LITERALS
              if literal in path.read_text(encoding="utf-8")}
-    assert found == {("document.py", literal) for literal in MARKUP_LITERALS}
+    assert found == {("repro/obs/document.py", literal)
+                     for literal in MARKUP_LITERALS} | {
+        ("repro/util/erasure.py", ".ljust(")}
+    erasure = (src / "repro" / "util" / "erasure.py").read_text(
+        encoding="utf-8")
+    assert all('.ljust(shard_len, b"\\x00")' in line
+               for line in erasure.splitlines() if ".ljust(" in line)
+
+
+# -- one experiment driver, one ledger writer --------------------------------
+
+def test_benches_are_run_only_by_the_experiment_driver():
+    # ``python -m repro.experiments`` runs every bench's experiment();
+    # a pytest wrapper would be a second driver.
+    drivers = sorted(
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in sorted((REPO / "benchmarks").glob("bench_*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("test_"))
+        or (isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("benchmarks"))
+        or (isinstance(node, ast.Import) and any(
+            alias.name.startswith("benchmarks") for alias in node.names)))
+    assert len(list((REPO / "benchmarks").glob("bench_*.py"))) == 21
+    assert drivers == []
+    assert not (REPO / "benchmarks" / "common.py").exists()
+
+
+def ledger_writers():
+    """``file:function`` of each function that encodes JSON and writes
+    a file, in a program file that names a ``BENCH_`` ledger.
+    benchmarks/platform/ writes its own expected.json, not a ledger."""
+    found = set()
+    for path, tree in _trees("src", "scripts", "benchmarks", "examples"):
+        if "BENCH_" not in path.read_text(encoding="utf-8") \
+                or "platform" in path.relative_to(REPO).parts:
+            continue
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            calls = [call for call in ast.walk(function)
+                     if isinstance(call, ast.Call)]
+            if any(_dotted(call.func) in ("json.dump", "json.dumps")
+                   for call in calls) and any(
+                    _callee(call.func) in ("write_text", "write_bytes",
+                                           "open", "dump")
+                    for call in calls):
+                found.add(f"{path.relative_to(REPO)}:{function.name}")
+    return found
+
+
+def test_every_bench_ledger_is_written_by_one_function():
+    # A6-A8 and the two bench scripts call it; it writes under
+    # artifacts/bench/, so no run rewrites a committed BENCH_*.json.
+    assert ledger_writers() == {
+        "src/repro/experiments/benchrun.py:write_bench_file"}
 
 
 # -- bench_regress.py ---------------------------------------------------------
@@ -659,15 +718,25 @@ def bench_regress():
     return load_module(REPO / "scripts" / "bench_regress.py")
 
 
-def test_fact_files_are_committed_equal_to_their_baselines(bench_regress):
-    baselines = sorted(bench_regress.BASELINE_DIR.glob("BENCH_*.json"))
-    assert {path.name for path in baselines} == set(
+def test_each_committed_ledger_is_the_baseline_its_bench_writes(
+        bench_regress, tmp_path, monkeypatch):
+    # One copy of each fact file: the committed root BENCH_*.json is the
+    # baseline, and it is what the one writer's encoding produces.
+    from repro.experiments import benchrun
+    assert bench_regress.BASELINE_DIR == REPO
+    assert bench_regress.FRESH_DIR == REPO / "artifacts" / "bench"
+    assert not (REPO / "benchmarks" / "baselines").exists()
+    committed = sorted(REPO.glob("BENCH_*.json"))
+    assert {path.name for path in committed} == set(
         bench_regress.BENCH_MODULES)
-    facts = [path for path in baselines
-             if path.name not in bench_regress.HOST_TIME]
-    assert len(facts) == 3
-    for path in facts:
-        assert (REPO / path.name).read_bytes() == path.read_bytes(), path.name
+    assert all((REPO / target).is_file()
+               for target in bench_regress.BENCH_MODULES.values())
+    monkeypatch.setattr(benchrun, "BENCH_DIR", tmp_path)
+    for path in committed:
+        fresh = benchrun.write_bench_file(path.name,
+                                          json.loads(path.read_text()))
+        assert fresh == tmp_path / path.name
+        assert fresh.read_bytes() == path.read_bytes(), path.name
 
 
 BASELINE_STUB = {"cells": {"a": {"loads_ok": 40, "errors": 0.0},
