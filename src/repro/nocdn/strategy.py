@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-import struct
+import sys
 from array import array
 from itertools import chain, compress, count, islice, repeat
 from operator import and_, eq, or_, rshift
@@ -46,13 +46,96 @@ RING_SPACE = 1 << 64
 
 # Ring points: one unsigned 64-bit int per vnode, 8 bytes in place.
 POINT_TYPECODE = "Q"
-# The first 8 bytes of a digest, big-endian.
-_point_of_digest = struct.Struct(">Q").unpack_from
+_digest = type(hashlib.sha256()).digest
 
 
-def _hash_point(token: bytes) -> int:
-    """The ring position of ``token``: every ring hash goes through here."""
-    return _point_of_digest(hashlib.sha256(token).digest())[0]
+def _hash_points(tokens: Iterable[bytes]) -> array:
+    """The ring positions of ``tokens``, in order: every ring hash goes
+    through here. A position is the first 8 bytes of the token's
+    SHA-256, big-endian; the digests are hashed, joined and cut by C
+    loops, one Python call for any number of tokens."""
+    digests = memoryview(b"".join(map(_digest, map(hashlib.sha256, tokens))))
+    points = array(POINT_TYPECODE,
+                   digests.cast(POINT_TYPECODE)[::4].tobytes())
+    if sys.byteorder == "little":
+        points.byteswap()
+    return points
+
+
+def _vnode_tokens(peers: Iterable[str], suffixes: List[bytes],
+                  ) -> Iterable[bytes]:
+    """``peer#v`` for each peer and each vnode suffix ``#v``, rank-major."""
+    return chain.from_iterable(map(peer_id.encode().__add__, suffixes)
+                               for peer_id in peers)
+
+
+def _packed_run(peers: List[str], suffixes: List[bytes],
+                ) -> Tuple[array, List[str], bool]:
+    """Sort each vnode as one packed int, ``(point << bits) | rank``
+    with ``rank`` its peer's index in ``peers``: no tuple per vnode.
+    The points come out sorted, and tied points in rank order; the
+    points array and the owners list are read straight off the one
+    sorted run. Also says whether any two points tie."""
+    bits = max(1, (len(peers) - 1).bit_length())
+    # One lazy run per peer, C-speed within it: hash the peer's tokens,
+    # shift each point, or in the rank.
+    runs = (map(or_, map(int.__lshift__,
+                         _hash_points(_vnode_tokens((peer_id,), suffixes)),
+                         repeat(bits)),
+                repeat(rank))
+            for rank, peer_id in enumerate(peers))
+    packed = sorted(chain.from_iterable(runs))
+    points = array(POINT_TYPECODE, map(rshift, packed, repeat(bits)))
+    owners = list(map(peers.__getitem__,
+                      map(and_, packed, repeat((1 << bits) - 1))))
+    return points, owners, any(map(eq, points, islice(points, 1, None)))
+
+
+def _numpy_run(peers: List[str], suffixes: List[bytes],
+               ) -> Tuple[array, List[str], bool]:
+    """What ``_packed_run`` returns, sorted by numpy.
+
+    The points are hashed a batch of peers at a time into one
+    ``uint64`` array laid out rank-major, so a stable argsort leaves
+    tied points in rank order, as the packed sort does. The owners are
+    read off an object array of the peers by ``order // vnodes``: no
+    Python int per vnode. Each transient is freed once the next is
+    built, so the largest are three 8-byte-per-vnode arrays at once.
+    """
+    import numpy as np
+
+    vnodes = len(suffixes)
+    hashed = np.empty(len(peers) * vnodes, np.uint64)
+    per_batch = max(1, _HASH_BATCH // vnodes)
+    for start in range(0, len(peers), per_batch):
+        batch = peers[start:start + per_batch]
+        hashed[start * vnodes:(start + len(batch)) * vnodes] = np.frombuffer(
+            _hash_points(_vnode_tokens(batch, suffixes)), np.uint64)
+    order = np.argsort(hashed, kind="stable")
+    hashed = hashed[order]
+    tied = bool((hashed[1:] == hashed[:-1]).any())
+    points = array(POINT_TYPECODE)
+    points.frombytes(memoryview(hashed).cast("B"))  # no bytes copy
+    del hashed
+    np.floor_divide(order, vnodes, out=order)
+    owners = np.array(peers, dtype=object)[order]
+    del order
+    return points, owners.tolist(), tied
+
+
+# Vnodes hashed per call of ``_hash_points`` by ``_numpy_run``: a
+# call holds each digest as a bytes object (about 100 B a token) until
+# it has joined them, so a batch costs about 3 MiB whatever the ring's
+# size.
+_HASH_BATCH = 1 << 15
+# Runs of at least this many vnodes are sorted by ``_numpy_run``,
+# shorter ones by ``_packed_run``. The rule exists for the import:
+# loading numpy costs ~14 MiB resident, which the numpy route's smaller
+# transient (8-byte arrays in place of an ~80-bit Python int per vnode)
+# pays back only for a large run. A 3k-home churn fleet (171,136
+# vnodes) stays below it and never imports numpy; a 10k-home fleet's
+# first lookup (633,600) is above it. Nothing sets it.
+_NUMPY_MIN_RUN = 1 << 19
 
 
 def _merge_runs(points: array, owners: List[str],
@@ -128,6 +211,11 @@ class HashRing:
     in sorted order whatever the history of changes, so they equal a
     fresh bulk build exactly, ties between peers included.
 
+    A bulk build of at least ``_NUMPY_MIN_RUN`` vnodes (a 10k-home
+    fleet's first lookup) hashes and sorts in numpy; a smaller run, and
+    every single-peer change, stays in the standard library. Both give
+    the same arrays, and every ring hash goes through ``_hash_points``.
+
     Memory: ``_points`` is an ``array('Q')``, 8 bytes per vnode, and
     ``_owners`` a list of the peers' own id strings, 8 bytes per vnode;
     at 10k peers x 64 vnodes the ring is about 10 MiB.
@@ -190,39 +278,23 @@ class HashRing:
         """The peers' vnode points as (points, owners), sorted as pairs.
 
         Only these peers' points are sorted: pairing up a whole ring to
-        re-sort it costs several times the merge. Tied points must fall
-        in owner order. Ties between 64-bit points practically never
-        happen, so the peers are ranked by id (a second pass) only when
-        some points tie.
+        re-sort it costs several times the merge. A run of at least
+        ``_NUMPY_MIN_RUN`` vnodes (a bulk build of a fleet-sized ring)
+        is sorted by ``_numpy_run``, a shorter one by ``_packed_run``;
+        both give the same arrays. Tied points must fall in owner
+        order. Ties between 64-bit points practically never happen, so
+        the peers are ranked by id (a second pass) only when some
+        points tie.
         """
         peers = list(peer_ids)
-        points, owners = self._packed_run(peers)
-        if any(map(eq, points, islice(points, 1, None))):
-            points, owners = self._packed_run(sorted(peers))
-        return points, owners
-
-    def _packed_run(self, peers: List[str]) -> Tuple[array, List[str]]:
-        """Sort each vnode as one packed int, ``(point << bits) | rank``
-        with ``rank`` its peer's index in ``peers``: no tuple per vnode.
-        The points come out sorted, and tied points in rank order; the
-        points array and the owners list are read straight off the one
-        sorted run."""
-        bits = max(1, (len(peers) - 1).bit_length())
+        run = (_numpy_run if len(peers) * self.vnodes >= _NUMPY_MIN_RUN
+               else _packed_run)
         # The vnode suffixes, built per run: a module-level memo would
         # outlive the ring.
         suffixes = [b"#%d" % v for v in range(self.vnodes)]
-        # One lazy run per peer, C-speed within it: hash each
-        # ``peer_id#v`` token, shift it, or in the rank.
-        runs = (map(or_, map(int.__lshift__,
-                             map(_hash_point,
-                                 map(peer_id.encode().__add__, suffixes)),
-                             repeat(bits)),
-                    repeat(rank))
-                for rank, peer_id in enumerate(peers))
-        packed = sorted(chain.from_iterable(runs))
-        points = array(POINT_TYPECODE, map(rshift, packed, repeat(bits)))
-        owners = list(map(peers.__getitem__,
-                          map(and_, packed, repeat((1 << bits) - 1))))
+        points, owners, tied = run(peers, suffixes)
+        if tied:
+            points, owners, _ = run(sorted(peers), suffixes)
         return points, owners
 
     def owner(self, key: str, live: Iterable[str]) -> Optional[str]:
@@ -233,7 +305,7 @@ class HashRing:
         live_set = live if isinstance(live, (set, frozenset)) else set(live)
         if not live_set:
             return None
-        point = _hash_point(key.encode())
+        point = _hash_points((key.encode(),))[0]
         start = bisect.bisect_right(self._points, point) % len(self._points)
         n = len(self._points)
         for step in range(n):

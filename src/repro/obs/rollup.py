@@ -1,8 +1,8 @@
 """Metric cardinality governor: columnar cohort rollups and heavy hitters.
 
-ROADMAP item 1's constraint — scrape cost must not grow with fleet
-size — dies the moment every one of 100k background homes gets its own
-TSDB series per metric. A :class:`RollupCohort` holds one idle cohort's
+Scrape cost must not grow with fleet size, and that constraint dies
+the moment every one of 100k background homes gets its own TSDB series
+per metric. A :class:`RollupCohort` holds one idle cohort's
 per-home metrics as **columns** — one ``array('d')`` per metric, one
 slot per member — and folds them into **cohort rollup series**
 (counters sum, gauges average across the cohort) plus a deterministic

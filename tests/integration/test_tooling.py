@@ -1,10 +1,11 @@
 """Guards on the tooling itself: nothing ``Makefile`` or
 ``scripts/check.sh`` names may be missing and ``make check`` stays
 pytest only; ``src/`` grows no literal clones, no function nothing
-names and no numpy import outside the erasure kernel, and imports no
-third-party package but its one declared dependency; report markup is
-written in one module, exported logs are encoded and read in one
-module, and one function runs the chaos sequence; the host clock is
+names and no numpy import outside the erasure kernel and the hash
+ring's bulk build, and imports no third-party package but its one
+declared dependency; report markup is written in one module, exported
+logs are encoded and read in one module, and one function runs the
+chaos sequence; the host clock is
 read in four files; ``python -m repro.experiments`` is the one driver
 of the benches and one function writes every ``BENCH_*.json``;
 ``bench_regress.py`` gates facts by equality against the committed
@@ -424,7 +425,7 @@ def test_one_function_runs_the_chaos_sequence():
                        "src/repro/workloads/chaos.py:run"]
 
 
-# -- numpy is loaded by the first long shard, and by nothing else ------------
+# -- numpy is loaded by the first long shard or large ring, by nothing else --
 
 def _numpy_imports(tree):
     """The import statements under ``tree`` that name numpy."""
@@ -439,23 +440,29 @@ def _numpy_imports(tree):
     return found
 
 
-def test_numpy_is_imported_in_one_function_of_one_src_file():
+def test_numpy_is_imported_in_one_function_of_each_of_two_src_files():
     # A module-level import anywhere under src/ would charge every
-    # process numpy's ~16 MiB and ~0.1 s (repro.util.erasure's length
-    # rule says who should pay it).
-    at_module_level, inside_functions = set(), set()
+    # process numpy's ~14 MiB and ~0.1 s (repro.util.erasure's length
+    # rule and repro.nocdn.strategy's run-length rule say who should
+    # pay it).
+    at_module_level, inside_functions = set(), {}
     for path, tree in _trees("src"):
-        in_function = {
-            node for function in ast.walk(tree)
-            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in _numpy_imports(function)}
+        in_function = set()
         name = str(path.relative_to(REPO))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = _numpy_imports(function)
+                if found:
+                    in_function |= found
+                    inside_functions.setdefault(name, set()).add(
+                        function.name)
         if _numpy_imports(tree) - in_function:
             at_module_level.add(name)
-        if in_function:
-            inside_functions.add(name)
     assert at_module_level == set()
-    assert inside_functions == {"src/repro/util/erasure.py"}
+    assert inside_functions == {
+        "src/repro/util/erasure.py": {"_xor_in_numpy"},
+        "src/repro/nocdn/strategy.py": {"_numpy_run"},
+    }
 
 
 IMPORT_CONTRACT = """
@@ -463,19 +470,38 @@ import sys
 from repro.workloads.chaos import run_chaos
 owner = run_chaos(11)[0].owner          # 80 KiB files at RS(2,1)
 assert len(owner.manifest) == 3 and owner.metrics.value("shards_repaired") > 0
-assert "numpy" not in sys.modules, "a small-shard process loaded numpy"
+from repro.nocdn.strategy import _NUMPY_MIN_RUN, HashRing
+ring = HashRing()                       # nocdn_churn_3k's first build
+for i in range(2674):
+    ring.add_peer(f"h{i}")
+assert ring.owner("key", ring.peers) is not None
+assert "numpy" not in sys.modules, "a small-shard, small-ring run loaded numpy"
+"""
+# Each step must load numpy; each runs after the contract above, in a
+# process of its own.
+NUMPY_LOADERS = {
+    "long_shards": """
 from repro.util.erasure import ReedSolomonCodec
 ReedSolomonCodec(6, 3).encode(bytes(8 << 20))
 assert "numpy" in sys.modules, "an 8 MiB encode did not use numpy"
-"""
+""",
+    "large_ring": """
+ring = HashRing(vnodes=_NUMPY_MIN_RUN)  # one peer, a run at the rule
+ring.add_peer("h0")
+assert ring.owner("key", ring.peers) == "h0"
+assert "numpy" in sys.modules, "a ring run at the rule did not use numpy"
+""",
+}
 
 
-def test_numpy_loads_for_long_shards_only():
-    # In a process of its own: this session imported numpy long ago.
-    done = subprocess.run(
-        [sys.executable, "-c", IMPORT_CONTRACT], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
-    assert done.returncode == 0, done.stderr
+def test_numpy_loads_for_long_shards_and_large_rings_only():
+    # In processes of their own: this test process imported numpy long ago.
+    for loader in sorted(NUMPY_LOADERS):
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_CONTRACT + NUMPY_LOADERS[loader]],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert done.returncode == 0, f"{loader}: {done.stderr}"
 
 
 # -- the package depends on numpy alone; routing needs no graph library ------
@@ -552,7 +578,7 @@ def unreferenced_functions():
     identifier-shaped string anywhere in ``CODE_ROOTS``; a
     ``getattr(obj, f"_do_{verb}")`` counts for every name its constant
     parts fit. Static, so a name shared with a live function hides a
-    dead one — the call-profile pass in ROADMAP item 7(a) is the finer
+    dead one — the call-profile pass in ROADMAP item 8(a) is the finer
     sieve; this one is the ratchet that runs everywhere.
     """
     names, patterns = set(), []

@@ -11,10 +11,12 @@ quiesces, its entries mirror the caches they describe.
 
 import gc
 import random
+import sys
 import tracemalloc
-from unittest import mock
+from array import array
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.http.cache import HttpCache
 from repro.http.content import WebObject
@@ -142,30 +144,79 @@ ring_ops = st.lists(
     min_size=1, max_size=60)
 
 
-def bulk_built(peers, vnodes):
+def bulk_built(peers, vnodes, insertion=sorted):
     fresh = HashRing(vnodes=vnodes)
-    for pid in sorted(peers):
+    for pid in insertion(peers):
         fresh.add_peer(pid)
     fresh.arc_shares(peers)  # any lookup applies what is pending
     return fresh
 
 
+ROUTES = ("numpy", "packed")
+
+
+def unusable(peers, suffixes):
+    raise AssertionError("the run-length rule chose the other route")
+
+
+def force_route(monkeypatch, route):
+    """Push the run-length rule all one way, and break the other route
+    so that a ring build which reached it would fail."""
+    use_numpy = route == "numpy"
+    monkeypatch.setattr(strategy_module, "_NUMPY_MIN_RUN",
+                        0 if use_numpy else sys.maxsize)
+    monkeypatch.setattr(
+        strategy_module, "_packed_run" if use_numpy else "_numpy_run",
+        unusable)
+
+
+@pytest.fixture(params=ROUTES)
+def only_route(request, monkeypatch):
+    force_route(monkeypatch, request.param)
+    return request.param
+
+
+def squeeze(monkeypatch, point_space):
+    """Reduce every ring hash modulo ``point_space``, so that different
+    peers collide on the same point and the tie order is exercised."""
+    real = strategy_module._hash_points
+    monkeypatch.setattr(
+        strategy_module, "_hash_points",
+        lambda tokens: array("Q", (point % point_space
+                                   for point in real(tokens))))
+
+
+def tied_runs(ring):
+    """The owners of each run of two or more equal points."""
+    runs, start = [], 0
+    points = ring._points
+    for i in range(1, len(points) + 1):
+        if i == len(points) or points[i] != points[start]:
+            if i - start > 1:
+                runs.append(ring._owners[start:i])
+            start = i
+    return runs
+
+
 class TestIncrementalRing:
     """The ring applies joins and leaves to its sorted arrays in place of
     rebuilding them; whatever the history, the arrays must be the ones
-    a bulk build of the same peer set produces."""
+    a bulk build of the same peer set produces, by either route."""
 
     @given(op_list=ring_ops, vnodes=st.sampled_from([1, 3, 64]),
-           point_space=st.sampled_from([None, 16]))
-    @settings(max_examples=200, deadline=None)
-    def test_any_history_equals_a_bulk_build(self, op_list, vnodes,
-                                             point_space):
+           point_space=st.sampled_from([None, 16]),
+           route=st.sampled_from(ROUTES))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_history_equals_a_bulk_build(self, monkeypatch, op_list,
+                                             vnodes, point_space, route):
         # A tiny hash space makes different peers collide on the same
-        # point, so the (point, peer) tie order is exercised too.
-        real = strategy_module._hash_point
-        squeezed = (real if point_space is None
-                    else lambda token: real(token) % point_space)
-        with mock.patch.object(strategy_module, "_hash_point", squeezed):
+        # point, so the (point, peer) tie order is exercised too. Every
+        # build, incremental or bulk, goes the one route drawn.
+        with monkeypatch.context() as patch:
+            force_route(patch, route)
+            if point_space is not None:
+                squeeze(patch, point_space)
             ring = HashRing(vnodes=vnodes)
             peers = set()
             for op, i in op_list:
@@ -189,6 +240,54 @@ class TestIncrementalRing:
             if peers and point_space is None:
                 assert abs(sum(shares.values()) - 1.0) < 1e-9
 
+    def test_ties_occur_and_fall_in_peer_order(self, only_route,
+                                               monkeypatch):
+        # 12 peers x 8 vnodes squeezed into 16 points must tie. The
+        # peers join in reverse order, so only the sorted-peers second
+        # pass puts each tied run in peer order.
+        squeeze(monkeypatch, 16)
+        peers = [f"peer{i:02d}" for i in range(12)]
+        ring = bulk_built(peers, 8, insertion=reversed)
+        assert max(ring._points) < 16  # the squeeze reached the build
+        runs = tied_runs(ring)
+        assert len(runs) >= 8
+        assert all(run == sorted(run) for run in runs)
+        assert list(zip(ring._points, ring._owners)) == sorted(
+            (point, pid) for pid in peers for point in
+            strategy_module._hash_points(f"{pid}#{v}".encode()
+                                         for v in range(8)))
+
+    @pytest.mark.parametrize("point_space", [None, 16])
+    def test_both_routes_build_the_same_arrays(self, monkeypatch,
+                                               point_space):
+        if point_space is not None:
+            squeeze(monkeypatch, point_space)
+        peers = {f"peer{i}" for i in range(300)}
+        built = {}
+        for route, rule in zip(ROUTES, (0, sys.maxsize)):
+            monkeypatch.setattr(strategy_module, "_NUMPY_MIN_RUN", rule)
+            ring = bulk_built(peers, 64, insertion=list)
+            built[route] = (ring._points, ring._owners)
+        assert built["numpy"] == built["packed"]
+        assert len(built["numpy"][0]) == 300 * 64
+
+    def test_a_ring_hashes_in_batches(self, monkeypatch):
+        monkeypatch.setattr(strategy_module, "_NUMPY_MIN_RUN", 0)
+        calls = []
+        real = strategy_module._hash_points
+
+        def counting(tokens):
+            tokens = list(tokens)
+            calls.append(len(tokens))
+            return real(tokens)
+
+        monkeypatch.setattr(strategy_module, "_hash_points", counting)
+        peers = {f"peer{i}" for i in range(1200)}
+        ring = bulk_built(peers, 64)
+        batch = strategy_module._HASH_BATCH
+        assert sum(calls) == len(ring._points) == 1200 * 64
+        assert len(calls) > 1 and max(calls) <= batch
+
     def test_single_peer_change_hashes_only_that_peer(self, monkeypatch):
         ring = HashRing()
         members = {f"peer{i}" for i in range(500)}
@@ -196,10 +295,14 @@ class TestIncrementalRing:
             ring.add_peer(pid)
         ring.arc_shares(members)
         hashed = []
-        real = strategy_module._hash_point
-        monkeypatch.setattr(
-            strategy_module, "_hash_point",
-            lambda token: hashed.append(token) or real(token))
+        real = strategy_module._hash_points
+
+        def recording(tokens):
+            tokens = list(tokens)
+            hashed.extend(tokens)
+            return real(tokens)
+
+        monkeypatch.setattr(strategy_module, "_hash_points", recording)
         ring.add_peer("joiner")
         ring.arc_shares(members)
         assert sorted(hashed) == sorted(
@@ -214,6 +317,8 @@ class TestIncrementalRing:
         ring.add_peer("peer8")
         ring.arc_shares(members)
         assert hashed == []
+        ring.owner("key", members)    # a lookup hashes its key alone
+        assert hashed == [b"key"]
         assert ring._owners == bulk_built(ring.peers, 64)._owners
 
 
@@ -223,6 +328,14 @@ class TestRingMemory:
     MAX_BYTES_PER_VNODE = 20
 
     def test_bulk_built_ring_bytes_per_vnode(self):
+        self.check_bytes_per_vnode()
+
+    def test_numpy_built_ring_bytes_per_vnode(self, monkeypatch):
+        import numpy  # noqa: F401  (its import is not the ring's memory)
+        force_route(monkeypatch, "numpy")
+        self.check_bytes_per_vnode()
+
+    def check_bytes_per_vnode(self):
         members = {f"peer{i}" for i in range(1000)}
         gc.collect()
         tracemalloc.start()
